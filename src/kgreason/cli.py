@@ -107,13 +107,13 @@ def _load_templates(path: Optional[str]) -> TemplateLibrary:
     return library
 
 
-def _build_client(opts: Options) -> ModelClient:
+def _build_client(opts: Options, kg: KnowledgeGraph) -> ModelClient:
     mode = opts.get("client", str, "mock")
     if mode == "mock":
         table = {}
         facts_path = opts.get("probe_facts", str, None)
         if facts_path:
-            table = _probe_table(opts, facts_path)
+            table = _probe_table(opts, kg, facts_path)
         return mock_client(table)
     config = ClientConfig(
         mode="live",
@@ -127,10 +127,10 @@ def _build_client(opts: Options) -> ModelClient:
     return ModelClient(config)
 
 
-def _probe_table(opts: Options, facts_path: str) -> dict[str, str]:
+def _probe_table(
+    opts: Options, kg: KnowledgeGraph, facts_path: str
+) -> dict[str, str]:
     """Sentences the simulated model treats as known, from a triple file."""
-    store = opts.get("store", str, None)
-    kg = KnowledgeGraph.load(store)
     templates = _load_templates(opts.get("templates", str, None))
     table: dict[str, str] = {}
     with open(facts_path, "r", encoding="utf-8") as fh:
@@ -150,13 +150,13 @@ def _probe_table(opts: Options, facts_path: str) -> dict[str, str]:
     return table
 
 
-def _polisher(opts: Options):
+def _polisher(opts: Options, kg: KnowledgeGraph):
     mode = opts.get("polisher", str, "none")
     if mode == "none":
         return None
     if mode == "mock":
         return mock_client().polish
-    return _build_client(opts).polish
+    return _build_client(opts, kg).polish
 
 
 def _load_pool(
@@ -267,11 +267,20 @@ def cmd_compose(ns: argparse.Namespace) -> int:
     min_confidence = opts.get("min_confidence", str, mining.DEFAULT_MIN_CONFIDENCE)
     kg = KnowledgeGraph.load(store)
     base = read_rules(rules_path)
+    for st in base:
+        if st.rule.hop != 2:
+            raise DataError(
+                f"{rules_path}: compose needs two-hop base rules, "
+                f"got {st.rule.rule_id}"
+            )
     composed = mining.compose_library([st.rule for st in base], max_hop=max_hop)
     threshold = mining.exact_fraction(min_confidence)
     kept: list[RuleStats] = []
-    for rule in composed:
-        scored = mining.score_rule(kg, rule)
+    # Bodies in sorted order share the longest prefixes with their
+    # predecessor; the library is sorted again below, so order is free.
+    chains = mining.ChainCounts(kg)
+    for rule in sorted(composed, key=lambda r: r.body_relations):
+        scored = mining.score_rule(kg, rule, chains)
         if scored.confidence is not None and scored.confidence > threshold:
             kept.append(scored)
     library = sort_stats(list(base) + kept)
@@ -318,7 +327,7 @@ def cmd_select(ns: argparse.Namespace) -> int:
     oracle = None
     if setting == SETTING_REGULAR:
         templates = _load_templates(opts.get("templates", str, None))
-        client = _build_client(opts)
+        client = _build_client(opts, kg)
         oracle = explore.probe_from_client(kg, templates, client)
     stage_seed = derive_seed(seed, "select")
     pool, mapping = selection.select_pipeline(
@@ -365,7 +374,7 @@ def cmd_generate(ns: argparse.Namespace) -> int:
     stage_seed = derive_seed(seed, "generate")
     pool, _, pool_path, map_path = _load_pool(opts, kg, stage_seed)
     templates = _load_templates(opts.get("templates", str, None))
-    polisher = _polisher(opts)
+    polisher = _polisher(opts, kg)
     samples, info = generation.make_samples(kg, pool, templates, polisher)
     generation.write_samples(samples_path, samples)
     outputs = {"samples": samples_path}
@@ -405,14 +414,14 @@ def cmd_explore(ns: argparse.Namespace) -> int:
     if oracle_kind == explore.ORACLE_KG:
         oracle = explore.KgFactOracle(kg)
     elif oracle_kind == explore.ORACLE_PROBE:
-        client = _build_client(opts)
+        client = _build_client(opts, kg)
         probe = explore.probe_from_client(kg, templates, client)
         oracle = explore.ProbeFactOracle(kg, probe)
     else:
         raise UsageError(f"unknown oracle: {oracle_kind}")
     max_trials = opts.get("max_trials", int, None)
     ensure_error = opts.get("ensure_error", _parse_bool, True)
-    polisher = _polisher(opts)
+    polisher = _polisher(opts, kg)
     samples, info, minted = explore.explore_samples(
         kg,
         pool,

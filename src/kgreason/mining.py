@@ -8,7 +8,14 @@ present closes the path and witnesses one instance of
 Scoring counts distinct full variable bindings.  ``body_count`` (x) is the
 number of bindings satisfying the body chain alone, ``head_and_body_count``
 (y) the subset whose head fact also holds, and confidence is the exact
-rational y/x.  Thresholds are interpreted as exact decimals so that the
+rational y/x.  Chains of any length are scored without listing their
+bindings: ``ChainCounts`` carries, for each start entity, a map from end
+entity to the number of body paths reaching it, one relation at a time.
+x is the sum of those path counts and y the part of it over the ends the
+head relation links the start to.  The work therefore follows the distinct
+(start, end) pairs per prefix, not the path count, which grows
+exponentially with hop, and bodies that share a prefix share its
+propagation.  Thresholds are interpreted as exact decimals so that the
 strict comparison at a boundary such as 0.6 behaves the way the printed
 number reads, not the way its nearest binary float rounds.
 """
@@ -243,21 +250,82 @@ def ground_rule(
         )
 
 
-def score_rule(kg: KnowledgeGraph, rule: Rule) -> RuleStats:
-    """Count body groundings and head-satisfying groundings for one rule."""
-    head_rid = (
-        kg.relation_id(rule.head_relation)
-        if kg.has_relation(rule.head_relation)
-        else None
+class ChainCounts:
+    """Body path counts per start entity, sharing prefixes between bodies.
+
+    ``frontiers(rels)`` maps each start entity ``a`` to ``{end: n}``, where
+    ``n`` is the number of paths from ``a`` to ``end`` along the relation
+    ids ``rels``.  Each level is propagated from the one before it, so the
+    work grows with the number of distinct (start, end) pairs rather than
+    with the number of paths.  The frontiers of the last body's prefixes
+    stay on a stack of one level per relation: a body that shares its first
+    k relations with the previous body only propagates the rest, so scoring
+    bodies in sorted order reuses the most.
+    """
+
+    def __init__(self, kg: KnowledgeGraph):
+        self.kg = kg
+        self._rels: list[int] = []
+        self._levels: list[dict[int, dict[int, int]]] = []
+
+    def frontiers(self, rels: Sequence[int]) -> dict[int, dict[int, int]]:
+        keep = 0
+        shared = min(len(rels), len(self._rels))
+        while keep < shared and rels[keep] == self._rels[keep]:
+            keep += 1
+        del self._rels[keep:]
+        del self._levels[keep:]
+        kg = self.kg
+        for rid in rels[keep:]:
+            if self._levels:
+                level: dict[int, dict[int, int]] = {}
+                succ: dict[int, list[int]] = {}
+                for a, ends in self._levels[-1].items():
+                    nxt: dict[int, int] = {}
+                    for b, n in ends.items():
+                        tails = succ.get(b)
+                        if tails is None:
+                            tails = succ[b] = kg.successors(b, rid)
+                        for c in tails:
+                            nxt[c] = nxt.get(c, 0) + n
+                    if nxt:
+                        level[a] = nxt
+            else:
+                level = {}
+                for h, t in kg.relation_pairs(rid):
+                    level.setdefault(h, {})[t] = 1
+            self._rels.append(rid)
+            self._levels.append(level)
+        return self._levels[-1]
+
+
+def score_rule(
+    kg: KnowledgeGraph, rule: Rule, chains: Optional[ChainCounts] = None
+) -> RuleStats:
+    """Count body groundings and head-satisfying groundings for one rule.
+
+    ``body_count`` is the sum of the body path counts over all (start, end)
+    pairs, and the support is the part of that sum whose head fact holds.
+    Pass one ``chains`` for many rules on the same graph to share the
+    propagation of common body prefixes.
+    """
+    if chains is None:
+        chains = ChainCounts(kg)
+    elif chains.kg is not kg:
+        raise UsageError("chain counts were built for another graph")
+    if not all(kg.has_relation(name) for name in rule.body_relations):
+        # An absent body relation leaves the rule unscorable.
+        return RuleStats(rule=rule, instance_count=0, body_count=0, head_and_body_count=0)
+    frontiers = chains.frontiers(
+        [kg.relation_id(name) for name in rule.body_relations]
     )
-    x = 0
+    x = sum(sum(ends.values()) for ends in frontiers.values())
     y = 0
-    for entities in iter_body_groundings(kg, rule):
-        x += 1
-        if head_rid is not None and kg.has_fact(
-            Triple(entities[0], head_rid, entities[-1])
-        ):
-            y += 1
+    if kg.has_relation(rule.head_relation):
+        head_rid = kg.relation_id(rule.head_relation)
+        for a, ends in frontiers.items():
+            for c in kg.successors(a, head_rid):
+                y += ends.get(c, 0)
     return RuleStats(rule=rule, instance_count=y, body_count=x, head_and_body_count=y)
 
 
@@ -281,14 +349,6 @@ def filter_stats(
         and st.confidence > threshold
     ]
     return sort_stats(kept)
-
-
-def filter_rules(
-    stats: Iterable[RuleStats],
-    min_support: int = DEFAULT_MIN_SUPPORT,
-    min_confidence=DEFAULT_MIN_CONFIDENCE,
-) -> list[Rule]:
-    return [st.rule for st in filter_stats(stats, min_support, min_confidence)]
 
 
 # ----------------------------------------------------------------------

@@ -279,6 +279,33 @@ class TestExitCodes:
         )
         assert proc.returncode == 1
 
+    def test_compose_rejects_base_rules_that_are_not_two_hop(self, tmp_path):
+        # A one-hop base rule would splice the same composed rule in twice.
+        (tmp_path / "t.tsv").write_text(
+            "a\tr2\tb\nb\tr3\tc\na\tr1\tc\na\tr0\tc\n", encoding="utf-8"
+        )
+        run_cli(tmp_path, "ingest", "--triples", "t.tsv", "--store", "s.json")
+        write_rules(
+            tmp_path / "rules.tsv",
+            [
+                RuleStats(rule, instance_count=1, body_count=1, head_and_body_count=1)
+                for rule in (
+                    Rule("r0", ("r1",)),
+                    Rule("r1", ("r2", "r3")),
+                    Rule("r0", ("r2", "r3")),
+                )
+            ],
+        )
+        proc = run_cli(
+            tmp_path, "compose", "--store", "s.json", "--rules", "rules.tsv",
+            "--out", "library.tsv", "--min-confidence", "0.1",
+            check=False,
+        )
+        assert proc.returncode == 2
+        assert "data error" in proc.stderr
+        assert "r0(X,Y)<-r1(X,Y)" in proc.stderr
+        assert not (tmp_path / "library.tsv").exists()
+
     def test_client_error_maps_to_exit_3(self, monkeypatch, capsys):
         def boom(ns):
             raise ClientError("endpoint returned 500")

@@ -13,6 +13,7 @@ from bruteforce import brute_chain_groundings, brute_rule_score, brute_two_hop
 from conftest import kg_from, random_triples
 from kgreason.errors import UsageError
 from kgreason.mining import (
+    ChainCounts,
     compose_library,
     compose_rules,
     exact_fraction,
@@ -111,6 +112,58 @@ class TestBruteForceAgreement:
         x, y = brute_rule_score(triples, "r0", body)
         stats = score_rule(kg, Rule("r0", body))
         assert (stats.body_count, stats.head_and_body_count) == (x, y)
+
+
+def shared_prefix_rules(rng, relations, count):
+    """Rules of hop 1-4 whose bodies often repeat or extend earlier ones.
+
+    The relation name ``absent`` stands for a body or head relation the
+    graph does not have.  The list comes back shuffled, so consecutive bodies share a
+    prefix of any length, diverge early, or repeat outright.
+    """
+    names = list(relations) + ["absent"]
+    bodies: list[tuple[str, ...]] = []
+    for _ in range(count):
+        if bodies and rng.random() < 0.6:
+            prefix = rng.choice(bodies)[: rng.randint(0, 3)]
+        else:
+            prefix = ()
+        hop = rng.randint(max(1, len(prefix)), 4)
+        rest = tuple(rng.choice(names) for _ in range(hop - len(prefix)))
+        bodies.append(prefix + rest)
+    rules = [Rule(rng.choice(names), body) for body in bodies]
+    rng.shuffle(rules)
+    return rules
+
+
+class TestChainCounts:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_shared_counter_matches_enumeration(self, seed):
+        rng = random.Random(seed)
+        triples = random_triples(rng, 7, 3, 30)
+        kg = kg_from(triples)
+        chains = ChainCounts(kg)
+        for rule in shared_prefix_rules(rng, ["r0", "r1", "r2"], 25):
+            stats = score_rule(kg, rule, chains)
+            x, y = brute_rule_score(triples, rule.head_relation, rule.body_relations)
+            assert (stats.body_count, stats.head_and_body_count) == (x, y), rule.rule_id
+            assert stats.instance_count == y
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_sharing_does_not_change_stats(self, seed):
+        rng = random.Random(seed)
+        kg = kg_from(random_triples(rng, 10, 4, 60))
+        rules = shared_prefix_rules(rng, ["r0", "r1", "r2", "r3"], 30)
+        chains = ChainCounts(kg)
+        shared = [score_rule(kg, rule, chains) for rule in rules]
+        alone = [score_rule(kg, rule) for rule in rules]
+        assert shared == alone
+
+    def test_counter_of_another_graph_is_refused(self, score_kg, example_kg):
+        with pytest.raises(UsageError):
+            score_rule(score_kg, Rule("r1", ("r2", "r3")), ChainCounts(example_kg))
 
 
 class TestWorkers:
