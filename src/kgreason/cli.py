@@ -528,18 +528,7 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
     for path in ns.samples:
         for sample in generation.read_samples(path):
             by_id[sample.sample_id] = sample
-    with open(splits_path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    splits = []
-    for record in payload.get("splits", []):
-        members = []
-        for sid in record["samples"]:
-            if sid not in by_id:
-                raise DataError(f"split references unknown sample {sid}")
-            members.append(by_id[sid])
-        splits.append(
-            evaluation.EvalSplit(record["name"], record["hop"], tuple(members))
-        )
+    splits = evaluation.read_splits(splits_path, by_id)
     outputs: dict[str, str] = {}
     for path in ns.predictions:
         outputs.update(evaluation.read_predictions(path))

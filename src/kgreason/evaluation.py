@@ -4,7 +4,9 @@ Raw outputs are parsed mechanically: the predicted entity comes from the
 terminal answer sentence (falling back to the last known entity mention),
 the final attempted rule from the last rule formula in the text (falling
 back to the relation sequence of the parsed fact chain), and the fact
-chain from relation template matches after that formula.
+chain from relation template matches after that formula.  Entity mentions
+are found by looking slices of the text up in a name set, longest name
+first; nothing is compiled per name.
 
 Verdicts partition predictions into correct answers, wrong rule choices,
 chains resting on absent facts, and valid alternatives (sound rule, true
@@ -19,15 +21,16 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import DataError, UsageError
 from .generation import ReasoningSample
 from .kg import KnowledgeGraph
 from .rules import Rule, RuleStats
 from .seeding import derive_seed
-from .templates import TemplateLibrary, name_alternation
+from .templates import ENT2, TemplateLibrary
 
 SPLIT_ID = "ID"
 SPLIT_OOD = "OOD"
@@ -101,10 +104,94 @@ def build_splits(
 # ----------------------------------------------------------------------
 # parsing raw outputs
 
-_ANSWER_PATTERNS = (
-    r"(?P<name>{alt})\s+is\s+the\s+(?:correct\s+)?answer",
-    r"the\s+answer\s+is\s*:?\s*(?P<name>{alt})",
-)
+# Positions with no word character just before them: where a name may
+# start, and one past where a name may end.
+_BOUNDARIES = re.compile(r"(?<!\w)")
+_SPACES = re.compile(r"\s*")
+# The answer phrases, around a name: "<name> is the (correct) answer" and
+# "the answer is: <name>".
+_NAMED_ANSWER = r"\s+is\s+the\s+(?:correct\s+)?answer"
+_NAMED_ANSWER_TAIL = re.compile(_NAMED_ANSWER, re.IGNORECASE)
+_NAMED_ANSWER_STARTS = re.compile(f"(?={_NAMED_ANSWER})", re.IGNORECASE)
+_ANSWER_LEAD = re.compile(r"the\s+answer\s+is", re.IGNORECASE)
+
+
+def _case_key(text: str) -> tuple[str, ...]:
+    """Key under which two strings match each other with ``re.IGNORECASE``.
+
+    ``re`` compares one character at a time through its simple lowercase
+    form (that of "İ" is "i", the first character of ``"İ".lower()``) plus
+    a few extra pairs such as i/ı, s/ſ and σ/ς.  Upper-casing the simple
+    lowercase form merges exactly the same characters.
+    """
+    return tuple(c.lower()[0].upper() for c in text)
+
+
+class _Text:
+    """A text and the positions where a name may start in it."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.starts = [m.start() for m in _BOUNDARIES.finditer(text)]
+        self.start_set = set(self.starts)
+
+    def may_end(self, pos: int) -> bool:
+        """True when no word character is at ``pos``."""
+        return pos == len(self.text) or pos + 1 in self.start_set
+
+
+class _NameIndex:
+    """A set of names with their lengths by first character.
+
+    Names and text slices are compared under ``key``.  The empty name is
+    never found.
+    """
+
+    def __init__(self, names: Iterable[str], key=lambda name: name):
+        self._key = key
+        self._keys: set = set()
+        lengths: dict = {}
+        for name in names:
+            if name:
+                keyed = key(name)
+                self._keys.add(keyed)
+                lengths.setdefault(keyed[0], set()).add(len(name))
+        self._lengths = {
+            first: sorted(found, reverse=True) for first, found in lengths.items()
+        }
+        self.lengths = sorted(set().union(*lengths.values()))
+
+    def ends(self, text: _Text, start: int) -> list[int]:
+        """Ends of the names at ``start``, longest first.
+
+        A name counts where no word character comes just before or just
+        after it, as in `templates.name_alternation`.
+        """
+        raw = text.text
+        if start not in text.start_set or start >= len(raw):
+            return []
+        ends = []
+        for length in self._lengths.get(self._key(raw[start])[0], ()):
+            end = start + length
+            if (
+                end <= len(raw)
+                and text.may_end(end)
+                and self._key(raw[start:end]) in self._keys
+            ):
+                ends.append(end)
+        return ends
+
+
+def _colon_gap_ends(raw: str, pos: int) -> list[int]:
+    r"""Where ``\s*:?\s*`` starting at ``pos`` can end, in the order a
+    backtracking regex tries them."""
+    spaces_end = _SPACES.match(raw, pos).end()
+    ends: list[int] = []
+    if raw.startswith(":", spaces_end):
+        after_colon = _SPACES.match(raw, spaces_end + 1).end()
+        ends.extend(range(after_colon, spaces_end, -1))
+    ends.extend(range(spaces_end, pos - 1, -1))
+    return ends
 
 
 @dataclass(frozen=True)
@@ -128,7 +215,16 @@ class ParsedPrediction:
 
 
 class OutputParser:
-    """Compiled matcher over a fixed entity name set and template library."""
+    """Matcher over a fixed entity name set and template library.
+
+    Names are found by lookup: at each position with no word character
+    before it, the distinct name lengths are tried longest first against a
+    name set, and a slice counts when no word character follows it.
+    Template sentences are matched piece by piece around those mentions,
+    backtracking longest name first.  The result is what a regex with a
+    longest-first alternation over every name finds (`tests/regex_parser.py`
+    keeps that form as the reference), but nothing is compiled per name.
+    """
 
     def __init__(
         self,
@@ -137,43 +233,93 @@ class OutputParser:
         library: TemplateLibrary,
         rule_formulas: Optional[Mapping[str, str]] = None,
     ):
-        self._alt = name_alternation(names)
-        self._name_regex = re.compile(self._alt)
-        self._answer_regexes = [
-            re.compile(p.format(alt=self._alt), re.IGNORECASE)
-            for p in _ANSWER_PATTERNS
+        names = set(names)
+        self._names = _NameIndex(names)
+        self._answer_names = _NameIndex(names, _case_key)
+        self._fact_pieces = [
+            (rel, library.relation(rel).pieces()) for rel in sorted(set(relations))
         ]
-        self._fact_regexes = {
-            rel: library.relation(rel).to_regex(self._alt)
-            for rel in sorted(set(relations))
-        }
         self._formulas = dict(rule_formulas or {})
 
     def extract_prediction(self, raw: str) -> Optional[str]:
         """Predicted entity: terminal answer pattern, else last known name."""
+        text = _Text(raw)
         best: Optional[tuple[int, str]] = None
-        for regex in self._answer_regexes:
-            for m in regex.finditer(raw):
-                if best is None or m.start() >= best[0]:
-                    best = (m.start(), m.group("name"))
+        for start, name in chain(self._named_answers(text), self._answer_leads(text)):
+            if best is None or start >= best[0]:
+                best = (start, name)
         if best is not None:
             return best[1]
         last = None
-        for m in self._name_regex.finditer(raw):
-            last = m.group(0)
+        pos = 0
+        for start, ends in self._mentions(text).items():
+            if start >= pos:
+                last, pos = raw[start : ends[0]], ends[0]
         return last
+
+    def _mentions(self, text: _Text) -> dict[int, list[int]]:
+        """Ends of the names at each start, longest first, by start."""
+        found = {}
+        for start in text.starts:
+            ends = self._names.ends(text, start)
+            if ends:
+                found[start] = ends
+        return found
+
+    def _named_answers(self, text: _Text) -> Iterator[tuple[int, str]]:
+        """Each "<name> is the (correct) answer", as (start, name)."""
+        raw = text.text
+        tails = {m.start() for m in _NAMED_ANSWER_STARTS.finditer(raw)}
+        starts = {end - n for end in tails for n in self._answer_names.lengths}
+        pos = 0
+        for start in sorted(starts & text.start_set):
+            if start < pos:
+                continue
+            for end in self._answer_names.ends(text, start):
+                if end in tails:
+                    yield start, raw[start:end]
+                    pos = _NAMED_ANSWER_TAIL.match(raw, end).end()
+                    break
+
+    def _answer_leads(self, text: _Text) -> Iterator[tuple[int, str]]:
+        """Each "the answer is: <name>", as (start, name)."""
+        raw = text.text
+        pos = 0
+        while (lead := _ANSWER_LEAD.search(raw, pos)) is not None:
+            pos = lead.start() + 1
+            for start in _colon_gap_ends(raw, lead.end()):
+                ends = self._answer_names.ends(text, start)
+                if ends:
+                    yield lead.start(), raw[start : ends[0]]
+                    pos = ends[0]
+                    break
 
     def find_facts(self, text: str) -> list[tuple[str, str, str]]:
         """Template matches as (subject, relation, object), by position.
 
         Matches from different relations may overlap: a sentence like
         "A has cast member B, who speaks C" states two facts sharing the
-        pivot mention of B, and both must survive.
+        pivot mention of B, and both must survive.  Within one relation,
+        matches do not overlap and the leftmost wins.
         """
+        indexed = _Text(text)
+        mentions = self._mentions(indexed)
         hits: list[tuple[int, int, tuple[str, str, str]]] = []
-        for rel, regex in sorted(self._fact_regexes.items()):
-            for m in regex.finditer(text):
-                hits.append((m.start(), m.end(), (m.group("e1"), rel, m.group("e2"))))
+        for rel, (lead, slot, middle, _, trail) in self._fact_pieces:
+            if lead not in text or middle not in text or trail not in text:
+                continue
+            starts = _occurrences(text, lead) if lead else list(mentions)
+            pos = 0
+            for start in starts:
+                if start < pos:
+                    continue
+                found = _match_fact(indexed, mentions, start + len(lead), middle, trail)
+                if found is not None:
+                    first, second, end = found
+                    if slot == ENT2:
+                        first, second = second, first
+                    hits.append((start, end, (first, rel, second)))
+                    pos = end
         hits.sort()
         return [fact for _, _, fact in hits]
 
@@ -191,6 +337,35 @@ class OutputParser:
             final_rule_id=final_rule_id,
             facts=tuple(self.find_facts(raw[tail_start:])),
         )
+
+
+def _occurrences(text: str, piece: str) -> Iterator[int]:
+    """Every start of ``piece`` in ``text``, overlapping ones included."""
+    pos = text.find(piece)
+    while pos >= 0:
+        yield pos
+        pos = text.find(piece, pos + 1)
+
+
+def _match_fact(
+    text: _Text,
+    mentions: Mapping[int, list[int]],
+    first_at: int,
+    middle: str,
+    trail: str,
+) -> Optional[tuple[str, str, int]]:
+    """Both names and the end of a fact sentence whose first slot is at
+    ``first_at``: mention, ``middle``, mention, ``trail``, then no word
+    character.  Longer names are tried first in each slot."""
+    raw = text.text
+    for first_end in mentions.get(first_at, ()):
+        if raw.startswith(middle, first_end):
+            second_at = first_end + len(middle)
+            for second_end in mentions.get(second_at, ()):
+                end = second_end + len(trail)
+                if raw.startswith(trail, second_end) and text.may_end(end):
+                    return raw[first_at:first_end], raw[second_at:second_end], end
+    return None
 
 
 def extract_prediction(raw: str, names: Iterable[str]) -> Optional[str]:
@@ -488,7 +663,51 @@ def read_predictions(path: str | Path) -> dict[str, str]:
                 continue
             try:
                 record = json.loads(line)
-                out[record["id"]] = record["output"]
+                sid, output = record["id"], record["output"]
             except (KeyError, TypeError, json.JSONDecodeError) as exc:
                 raise DataError(f"{path}: bad prediction on line {line_no}") from exc
+            if not isinstance(sid, str) or not isinstance(output, str):
+                raise DataError(
+                    f"{path}: prediction id and output must be strings "
+                    f"on line {line_no}"
+                )
+            out[sid] = output
     return out
+
+
+def read_splits(
+    path: str | Path, samples: Mapping[str, ReasoningSample]
+) -> list[EvalSplit]:
+    """Splits written by ``split``: ``{"splits": [{"name", "hop", "samples"}]}``.
+
+    Every sample id must be a key of ``samples``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: not a JSON splits file") from exc
+    records = payload.get("splits") if isinstance(payload, dict) else None
+    if not isinstance(records, list):
+        raise DataError(f"{path}: expected an object with a list of splits")
+    splits = []
+    for index, record in enumerate(records):
+        if not (
+            isinstance(record, dict)
+            and isinstance(record.get("name"), str)
+            and "hop" in record
+            and (record["hop"] is None or type(record["hop"]) is int)
+            and isinstance(record.get("samples"), list)
+            and all(isinstance(sid, str) for sid in record["samples"])
+        ):
+            raise DataError(
+                f"{path}: split {index} needs a string name, an integer or null "
+                f"hop and a list of sample ids"
+            )
+        members = []
+        for sid in record["samples"]:
+            if sid not in samples:
+                raise DataError(f"split references unknown sample {sid}")
+            members.append(samples[sid])
+        splits.append(EvalSplit(record["name"], record["hop"], tuple(members)))
+    return splits

@@ -97,7 +97,7 @@ class AnonymizationMap:
                 if not line:
                     continue
                 fields = line.split("\t")
-                if len(fields) != 2:
+                if len(fields) != 2 or not fields[1]:
                     raise DataError(f"{path}: bad map line {line_no}")
                 entries[kg.entity_id(fields[0])] = fields[1]
         return cls(entries)

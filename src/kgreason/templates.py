@@ -7,9 +7,9 @@ side.  Templates can be hand written, loaded from a tab-separated file, or
 requested from the model client once per relation; a deterministic fallback
 is always available so offline runs never stall on a missing entry.
 
-Fact sentences must be mechanically invertible: `to_regex` builds a pattern
-that recovers both entity mentions, which powers answer parsing during
-evaluation.
+Fact sentences must be mechanically invertible: `RelationTemplate.pieces`
+splits a template into its literal text and its two slots, and evaluation
+matches those pieces around the entity mentions it finds in model outputs.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ class RelationTemplate:
     def possibility_clause(self, subject_name: str, object_name: str) -> str:
         """Hedged variant of the sentence, for conclusions.
 
-        Replacing the first " is " with " may be " keeps the clause out of
-        reach of `to_regex`, so conclusions are never mistaken for stated
-        facts when answers are parsed back.
+        Replacing the first " is " with " may be " keeps the clause from
+        matching its relation template, so conclusions are never mistaken
+        for stated facts when answers are parsed back.
         """
         sentence = self.render(subject_name, object_name).rstrip(".")
         if " is " in sentence:
@@ -83,18 +83,27 @@ class RelationTemplate:
             f"for {subject_name}"
         )
 
+    def pieces(self) -> list[str]:
+        """The sentence as literal, slot, literal, slot, literal.
+
+        The slots are ``ENT1`` and ``ENT2`` in the order the pattern puts
+        them; a literal may be empty.  Trailing punctuation is dropped so a
+        fact is still found when the sentence continues with a clause
+        ("... member B, who ...") instead of a full stop.
+        """
+        core = self.pattern.rstrip().rstrip(".!?")
+        return re.split(f"({re.escape(ENT1)}|{re.escape(ENT2)})", core)
+
     def to_regex(self, name_alternation: str) -> re.Pattern:
         """Regex recovering both entity mentions from a rendered sentence.
 
         ``name_alternation`` is a pre-built alternation over every entity
-        surface form that may appear.  Trailing punctuation is dropped from
-        the pattern so a fact is still found when the sentence continues
-        with a clause ("... member B, who ...") instead of a full stop.
+        surface form that may appear.  This is the form of the regex
+        reference parser in the tests and the hook the benchmark's tracer
+        times; evaluation matches `pieces` around looked-up mentions.
         """
-        core = self.pattern.rstrip().rstrip(".!?")
-        parts = re.split(f"({re.escape(ENT1)}|{re.escape(ENT2)})", core)
         regex = ""
-        for part in parts:
+        for part in self.pieces():
             if part == ENT1:
                 regex += f"(?P<e1>{name_alternation})"
             elif part == ENT2:

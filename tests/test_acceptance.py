@@ -256,7 +256,7 @@ def test_criterion_4_selection_balanced_and_leak_free(capsys):
             if inst.head_fact in body_union:
                 problems.append(f"trial {trial}: query fact leaks into context")
                 break
-        if pool.size:
+        if pool.size():
             non_empty += 1
             if mapping is None:
                 problems.append(f"trial {trial}: no name map returned")

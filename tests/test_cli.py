@@ -12,6 +12,8 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 from kgreason import cli
 from kgreason.errors import ClientError
 from kgreason.manifest import file_digest
@@ -305,6 +307,58 @@ class TestExitCodes:
         assert "data error" in proc.stderr
         assert "r0(X,Y)<-r1(X,Y)" in proc.stderr
         assert not (tmp_path / "library.tsv").exists()
+
+    def evaluate_with(self, pipeline_dir, tmp_path, splits=None, predictions=None):
+        """Evaluate the session pipeline with its splits or predictions file
+        replaced by the given text."""
+        inputs = {"splits": "splits.json", "predictions": "preds.jsonl"}
+        for key, text in (("splits", splits), ("predictions", predictions)):
+            if text is None:
+                inputs[key] = str(pipeline_dir / inputs[key])
+            else:
+                (tmp_path / inputs[key]).write_text(text, encoding="utf-8")
+        return run_cli(
+            tmp_path, "evaluate",
+            "--store", str(pipeline_dir / "store.json"),
+            "--library", str(pipeline_dir / "library.tsv"),
+            "--splits", inputs["splits"],
+            "--samples", str(pipeline_dir / "samples.jsonl"),
+            str(pipeline_dir / "trial_samples.jsonl"),
+            "--predictions", inputs["predictions"],
+            "--map", str(pipeline_dir / "trial_map.tsv"),
+            "--report", "report.json",
+            check=False,
+        )
+
+    def test_evaluate_with_session_inputs_succeeds(self, pipeline_dir, tmp_path):
+        proc = self.evaluate_with(pipeline_dir, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "report.json").exists()
+
+    def test_evaluate_rejects_non_string_prediction(self, pipeline_dir, tmp_path):
+        proc = self.evaluate_with(
+            pipeline_dir, tmp_path, predictions='{"id": "x", "output": 5}\n'
+        )
+        assert proc.returncode == 2
+        assert "data error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "splits",
+        [
+            "not json",
+            "[]",
+            '{"splits": [{"hop": 2, "samples": []}]}',
+        ],
+        ids=["not-json", "top-level-list", "split-without-name"],
+    )
+    def test_evaluate_rejects_malformed_splits(self, pipeline_dir, tmp_path, splits):
+        proc = self.evaluate_with(pipeline_dir, tmp_path, splits=splits)
+        assert proc.returncode == 2
+        assert "data error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "report.json").exists()
 
     def test_client_error_maps_to_exit_3(self, monkeypatch, capsys):
         def boom(ns):

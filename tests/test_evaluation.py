@@ -8,9 +8,14 @@ has a concrete raw output whose classification was first done by hand.
 from __future__ import annotations
 
 import json
+import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgreason.errors import DataError, UsageError
 from kgreason.evaluation import (
@@ -24,12 +29,14 @@ from kgreason.evaluation import (
     VERDICT_RULE_ERROR,
     VERDICT_UNPARSEABLE,
     VERDICT_VALID_ALTERNATIVE,
+    _case_key,
     build_splits,
     classify_error,
     exact_match_score,
     extract_prediction,
     normalize_entity,
     read_predictions,
+    read_splits,
     rule_length_usage,
     write_predictions,
 )
@@ -38,6 +45,7 @@ from kgreason.rules import Rule, RuleStats
 from kgreason.templates import RelationTemplate, TemplateLibrary
 
 from conftest import kg_from
+from regex_parser import RegexOutputParser
 
 R_CIT = Rule("citizen_of", ("head_coach", "from_country"))
 R_LANG = Rule("language_spoken", ("cast_member", "speaks"))
@@ -313,6 +321,171 @@ class TestOutputParser:
         assert not parsed.parseable
         assert parsed.facts == ()
         assert parsed.final_hop is None
+
+
+# ----------------------------------------------------------------------
+# agreement with the regex reference parser
+
+# Letters whose case behaves unusually under re.IGNORECASE: ß upper-cases to
+# two letters, İ lower-cases to two; ı/i, ſ/s, ς/σ, µ (micro)/μ, K (Kelvin)/k
+# and Ω (ohm)/ω are extra pairs; ǅ is a title-case letter.
+_LETTERS = (
+    "abcdefgxyzABCXYZäöüßéçñøå"
+    "\u0130\u0131\u017f\u03c3\u03c2\u03a3\u00b5\u03bc\u212a\u2126\u01c5"
+)
+# A store keeps names verbatim, so a name may also start with a space or a
+# colon, or contain an answer phrase itself.
+_TRICKY_NAMES = [
+    "St. Louis", "AC/DC", "São Paulo", "O'Brien", "Σίσυφος", "İzmir", "@home",
+    "The Answer", " Padded", "Padded", ":Cue", "Cue",
+]
+_LEADS = ["", "", "", "In fact, ", "Of course ", "By law: "]
+_MIDDLES = [
+    " is the capital of ", " has cast member ", ", who speaks ", " -> ",
+    " is a citizen of ", " IS A CITIZEN OF ", " ", "",
+]
+_TRAILS = ["", "", ".", "!", " indeed.", " today"]
+_CASINGS = (str, str.upper, str.lower, str.swapcase, str.title)
+
+
+def _random_word(rng: random.Random) -> str:
+    return "".join(rng.choice(_LETTERS) for _ in range(rng.randint(1, 5)))
+
+
+def _random_names(rng: random.Random) -> list[str]:
+    """Names, some of them prefixes or suffixes of others."""
+    names = [
+        " ".join(_random_word(rng) for _ in range(rng.randint(1, 3)))
+        for _ in range(6)
+    ]
+    names += rng.sample(_TRICKY_NAMES, 4)
+    for name in list(names):
+        words = name.split(" ")
+        if len(words) > 1 and rng.random() < 0.7:
+            cut = rng.randint(1, len(words) - 1)
+            names.append(rng.choice([" ".join(words[:cut]), " ".join(words[cut:])]))
+        if rng.random() < 0.3:
+            names.append(name[: rng.randint(1, len(name))])
+    return sorted(set(n for n in names if n.strip()))
+
+
+def _random_template(rng: random.Random, relation: str) -> RelationTemplate:
+    slots = ["<ENT1>", "<ENT2>"]
+    if rng.random() < 0.3:
+        slots.reverse()
+    lead, middle, trail = rng.choice(_LEADS), rng.choice(_MIDDLES), rng.choice(_TRAILS)
+    return RelationTemplate(relation, lead + slots[0] + middle + slots[1] + trail)
+
+
+def _answer_sentence(rng: random.Random, name: str) -> str:
+    phrase = rng.choice(
+        [
+            "{} is the answer.",
+            "{} is the correct answer",
+            "{}  is\tthe CORRECT answer!",
+            "the answer is {}",
+            "The Answer is:  {}.",
+            "THE ANSWER IS :{}",
+            "the answer is  : \n{}",
+            "Breathe answer is {}",
+        ]
+    )
+    left, right = phrase.split("{}")
+    casing = rng.choice(_CASINGS)
+    return casing(left) + rng.choice(_CASINGS)(name) + casing(right)
+
+
+def _random_parse_case(rng: random.Random):
+    """Names, templates, formulas and an output text mixing rendered facts,
+    overlapping relative clauses, answer sentences, swapped and stripped
+    names and noise."""
+    names = _random_names(rng)
+    relations = [f"rel_{i}" for i in range(rng.randint(1, 4))]
+    library = TemplateLibrary.builtin()
+    templates = {}
+    for rel in relations:
+        if rng.random() < 0.85:
+            library.add_relation(_random_template(rng, rel))
+        templates[rel] = library.relation(rel)
+    relations.append("citizen_of")
+    templates["citizen_of"] = library.relation("citizen_of")
+    formulas = {}
+    for _ in range(rng.randint(0, 2)):
+        body = tuple(rng.choices(relations, k=rng.randint(1, 3)))
+        rule = Rule(rng.choice(relations), body)
+        formulas[rule.rule_id] = rule.formula()
+
+    def pick() -> str:
+        return rng.choice(names)
+
+    segments = []
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.randrange(8)
+        a, b, c = pick(), pick(), pick()
+        t1, t2 = templates[rng.choice(relations)], templates[rng.choice(relations)]
+        if kind == 0:
+            segments.append(t1.render(a, b))
+        elif kind == 1:
+            # Relative clause: the second fact shares the first one's object.
+            first = t1.render(a, b).rstrip(".!?")
+            second = t2.render(b, c)
+            if second.startswith(b):
+                segments.append(first + second[len(b) :])
+            else:
+                segments.append(first + ", " + second)
+        elif kind == 2:
+            segments.append(_answer_sentence(rng, a))
+        elif kind == 3:
+            segments.append(t1.render(b, a))
+        elif kind == 4:
+            stripped = rng.choice(["someone", "", a + rng.choice(["x", "_1", "ü"])])
+            segments.append(t1.render(a, "<X>").replace("<X>", stripped))
+        elif kind == 5 and formulas:
+            segments.append(rng.choice(list(formulas.values())))
+        elif kind == 6:
+            segments.append(rng.choice(_CASINGS)(t1.render(a, b)))
+        else:
+            words = (rng.choice([pick(), _random_word(rng)]) for _ in range(3))
+            segments.append(" ".join(words))
+    separators = [" ", ". ", "\n", ", ", "", ":", " — "]
+    text = segments[0]
+    for segment in segments[1:]:
+        text += rng.choice(separators) + segment
+    return relations, names, library, formulas, text
+
+
+class TestRegexAgreement:
+    """The lookup parser returns what the regex reference parser does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_parses_equal_regex_oracle(self, seed):
+        case = _random_parse_case(random.Random(seed))
+        relations, names, library, formulas, text = case
+        fast = OutputParser(relations, names, library, formulas)
+        slow = RegexOutputParser(relations, names, library, formulas)
+        assert fast.parse(text) == slow.parse(text)
+        assert fast.find_facts(text) == slow.find_facts(text)
+
+    def test_fixture_outputs_equal_regex_oracle(self):
+        kg = fixture_kg()
+        args = (kg.relation_names(), kg.entity_names(), fixture_templates())
+        fast, slow = OutputParser(*args), RegexOutputParser(*args)
+        for raw in (OUT_CORRECT, OUT_RULE_ERROR, OUT_FACT1, OUT_FACT2, OUT_ALT):
+            assert fast.parse(raw) == slow.parse(raw)
+
+    def test_case_key_merges_what_ignorecase_merges(self):
+        cased = [
+            c for c in map(chr, range(sys.maxunicode + 1))
+            if c.lower() != c or c.upper() != c
+        ]
+        alphabet = "".join(cased)
+        by_key: dict = {}
+        for c in cased:
+            by_key.setdefault(_case_key(c), set()).add(c)
+        for c in cased:
+            matched = set(re.findall(re.escape(c), alphabet, re.IGNORECASE))
+            assert matched == by_key[_case_key(c)], c
 
 
 class TestClassifyError:
@@ -614,3 +787,60 @@ class TestPredictionsFile:
         path.write_text('{"id":"a"}\n', encoding="utf-8")
         with pytest.raises(DataError):
             read_predictions(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        ['{"id":"x","output":5}', '{"id":7,"output":"x"}', '{"id":"x","output":null}'],
+    )
+    def test_non_string_fields_rejected(self, tmp_path, line):
+        path = tmp_path / "preds.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(DataError):
+            read_predictions(path)
+
+
+class TestReadSplits:
+    SAMPLES = {"s-cit": CIT_SAMPLE, "s-lang": LANG_SAMPLE}
+
+    def write(self, tmp_path, payload) -> str:
+        path = tmp_path / "splits.json"
+        path.write_text(
+            payload if isinstance(payload, str) else json.dumps(payload),
+            encoding="utf-8",
+        )
+        return str(path)
+
+    def test_reads_what_split_writes(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            {
+                "splits": [
+                    {"name": "ID", "hop": None, "samples": ["s-cit", "s-lang"]},
+                    {"name": "ID", "hop": 2, "samples": ["s-lang"]},
+                ]
+            },
+        )
+        assert read_splits(path, self.SAMPLES) == [
+            EvalSplit("ID", None, (CIT_SAMPLE, LANG_SAMPLE)),
+            EvalSplit("ID", 2, (LANG_SAMPLE,)),
+        ]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "not json",
+            [],
+            {},
+            {"splits": {}},
+            {"splits": ["ID"]},
+            {"splits": [{"hop": 2, "samples": []}]},
+            {"splits": [{"name": "ID", "samples": []}]},
+            {"splits": [{"name": "ID", "hop": True, "samples": []}]},
+            {"splits": [{"name": "ID", "hop": 2, "samples": "s-cit"}]},
+            {"splits": [{"name": "ID", "hop": 2, "samples": [1]}]},
+            {"splits": [{"name": "ID", "hop": 2, "samples": ["unknown"]}]},
+        ],
+    )
+    def test_malformed_rejected(self, tmp_path, payload):
+        with pytest.raises(DataError):
+            read_splits(self.write(tmp_path, payload), self.SAMPLES)

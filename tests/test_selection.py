@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import kg_from, random_triples
 from kgreason.client import VERDICT_KNOWN, VERDICT_UNDECIDED, VERDICT_UNKNOWN
-from kgreason.errors import UsageError
+from kgreason.errors import DataError, UsageError
 from kgreason.kg import Triple
 from kgreason.mining import ground_rule, mine_rule_stats
 from kgreason.rules import Rule, RuleInstance
@@ -256,6 +256,14 @@ class TestAnonymize:
         path = tmp_path / "map.tsv"
         mapping.save(path, kg)
         assert AnonymizationMap.load(path, kg).entries == mapping.entries
+
+    def test_map_file_without_synthetic_name_rejected(self, tmp_path):
+        # An empty name would be a mention everywhere in a model output.
+        kg, _ = self.graph_pool()
+        path = tmp_path / "map.tsv"
+        path.write_text("bob\t\n", encoding="utf-8")
+        with pytest.raises(DataError):
+            AnonymizationMap.load(path, kg)
 
 
 class TestExtendNameMap:

@@ -141,6 +141,16 @@ class TestLibrary:
             assert "<ENT1>" in lib1.relation(rel).pattern
 
 
+class TestPieces:
+    def test_literals_and_slots_in_pattern_order(self):
+        t = RelationTemplate("r", "In fact, <ENT2> is led by <ENT1> today.")
+        assert t.pieces() == ["In fact, ", "<ENT2>", " is led by ", "<ENT1>", " today"]
+
+    def test_trailing_punctuation_dropped(self):
+        t = RelationTemplate("r", "<ENT1> is a citizen of <ENT2>. ")
+        assert t.pieces() == ["", "<ENT1>", " is a citizen of ", "<ENT2>", ""]
+
+
 class TestNameAlternation:
     def test_longest_first(self):
         rx = name_alternation(["New York", "New York City"])
