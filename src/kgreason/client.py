@@ -23,8 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
-import requests
-
 from .errors import ClientError, UsageError
 
 logger = logging.getLogger(__name__)
@@ -52,7 +50,6 @@ class ClientConfig:
     max_retries: int = 2
     retry_backoff: float = 0.5
     parallelism: int = 4
-    debug: bool = False
 
     def __post_init__(self):
         if self.mode not in (MODE_LIVE, MODE_MOCK):
@@ -66,7 +63,9 @@ class ModelClient:
 
     ``transport`` may be injected for testing; it must behave like
     ``requests.post`` and return an object with ``status_code`` and
-    ``json()``.  Probe results are memoized per client instance.
+    ``json()``.  Probe results are memoized per client instance.  Only a
+    live client without one imports ``requests``, which would otherwise
+    cost every stage process about 0.1 s of start-up.
     """
 
     def __init__(
@@ -89,7 +88,11 @@ class ModelClient:
         }
         if bad:
             raise UsageError(f"invalid verdicts in probe table: {sorted(bad)}")
-        self._transport = transport if transport is not None else requests.post
+        if transport is None and self.config.mode == MODE_LIVE:
+            import requests
+
+            transport = requests.post
+        self._transport = transport
         self._cache: dict[str, str] = {}
         self._lock = threading.Lock()
 
@@ -166,8 +169,6 @@ class ModelClient:
                     raise ClientError(f"endpoint returned {response.status_code}")
                 body = response.json()
                 content = body["choices"][0]["message"]["content"]
-                if self.config.debug:
-                    logger.debug("model reply: %r", content)
                 return str(content)
             except Exception as exc:  # noqa: BLE001 - any failure is retryable
                 logger.warning(

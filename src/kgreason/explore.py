@@ -52,7 +52,11 @@ ORACLE_PROBE = "probe"
 # fact oracles
 
 class KgFactOracle:
-    """Ground truth oracle: a fact holds iff it is in the graph."""
+    """Ground truth oracle: a fact holds iff it is in the graph.
+
+    Neighbor queries take only relation ids from ``relation_id`` and return
+    the graph's own lists, which callers must not mutate.
+    """
 
     kind = ORACLE_KG
 
@@ -65,18 +69,19 @@ class KgFactOracle:
     def holds(self, head: int, rid: int, tail: int) -> bool:
         return self.kg.has_fact(Triple(head, rid, tail))
 
-    def successors(self, eid: int, rid: Optional[int]) -> list[int]:
-        return [] if rid is None else self.kg.successors(eid, rid)
+    def successors(self, eid: int, rid: Optional[int]) -> Sequence[int]:
+        return [] if rid is None else self.kg.tails(eid, rid)
 
-    def predecessors(self, eid: int, rid: Optional[int]) -> list[int]:
-        return [] if rid is None else self.kg.predecessors(eid, rid)
+    def predecessors(self, eid: int, rid: Optional[int]) -> Sequence[int]:
+        return [] if rid is None else self.kg.heads(eid, rid)
 
 
 class ProbeFactOracle:
     """Graph candidates filtered through a ternary knowledge probe.
 
     Only facts the probe marks ``known`` count as provable; ``undecided``
-    is treated as not known.  Verdicts are cached for the run.
+    is treated as not known.  Verdicts are cached for the run.  Relation
+    ids must come from ``relation_id``, as for ``KgFactOracle``.
     """
 
     kind = ORACLE_PROBE
@@ -84,35 +89,32 @@ class ProbeFactOracle:
     def __init__(self, kg: KnowledgeGraph, probe: Callable[[Triple], str]):
         self.kg = kg
         self._probe = probe
-        self._cache: dict[Triple, bool] = {}
+        self._cache: dict[tuple[int, int, int], bool] = {}
 
     def relation_id(self, name: str) -> Optional[int]:
         return self.kg.relation_id(name) if self.kg.has_relation(name) else None
 
-    def _known(self, fact: Triple) -> bool:
-        cached = self._cache.get(fact)
+    def _known(self, head: int, rid: int, tail: int) -> bool:
+        key = (head, rid, tail)
+        cached = self._cache.get(key)
         if cached is None:
-            cached = self._probe(fact) == VERDICT_KNOWN
-            self._cache[fact] = cached
+            cached = self._probe(Triple(head, rid, tail)) == VERDICT_KNOWN
+            self._cache[key] = cached
         return cached
 
     def holds(self, head: int, rid: int, tail: int) -> bool:
         fact = Triple(head, rid, tail)
-        return self.kg.has_fact(fact) and self._known(fact)
+        return self.kg.has_fact(fact) and self._known(head, rid, tail)
 
     def successors(self, eid: int, rid: Optional[int]) -> list[int]:
         if rid is None:
             return []
-        return [
-            t for t in self.kg.successors(eid, rid) if self._known(Triple(eid, rid, t))
-        ]
+        return [t for t in self.kg.tails(eid, rid) if self._known(eid, rid, t)]
 
     def predecessors(self, eid: int, rid: Optional[int]) -> list[int]:
         if rid is None:
             return []
-        return [
-            h for h in self.kg.predecessors(eid, rid) if self._known(Triple(h, rid, eid))
-        ]
+        return [h for h in self.kg.heads(eid, rid) if self._known(h, rid, eid)]
 
 
 def probe_from_client(kg: KnowledgeGraph, library: TemplateLibrary, client, name_of=None):

@@ -1,10 +1,22 @@
-"""In-memory triple store with interned entity and relation ids.
+"""In-memory triple store keyed by integers.
 
-Entities and relations are interned to dense integer ids assigned in sorted
-name order after the whole input has been read.  That makes every query
-result independent of the order triples arrive in.  The store is built once,
-single threaded, and is immutable afterwards; all query methods are safe to
-call from multiple threads.
+Entities and relations get dense ids in sorted name order, so no query
+depends on the order triples arrive in.  With ``E`` entities and ``R``
+relations, fact (h, r, t) is the int ``(h·R + r)·E + t`` in one fact set.
+``_succ`` maps ``h·R + r`` to the tails, ``_pred`` maps ``t·R + r`` to the
+heads, and ``_rel_pairs`` lists each relation's (head, tail) pairs.
+Per-entity ``neighbors`` lists are built on first use.
+
+Canonical order: a saved store lists its names strictly ascending and its
+triples strictly ascending by (h, r, t).  Read in that order, every id lands
+in its list already sorted, so one pass over the id triples builds every
+index.  ``load`` checks the order as it validates; a hand-made store out of
+it is remapped and sorted once and loads equal to its canonical form.
+
+The store is immutable and safe to query from several threads.  Public
+queries check ids and raise UnknownSymbolError; ``tails``, ``heads`` and
+``holds`` neither check nor copy, for hot paths that validated their ids
+once at their own boundary.
 
 Triple files are UTF-8 text, one fact per line, with exactly three
 tab-separated fields: head entity, relation, tail entity.  Duplicate lines
@@ -13,10 +25,14 @@ collapse into one fact.  Blank lines are ignored.
 
 from __future__ import annotations
 
+import gc
 import json
+from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DataError, IngestError, UnknownSymbolError, UsageError
 
@@ -24,6 +40,18 @@ FORWARD = "forward"
 INVERSE = "inverse"
 
 STORE_FORMAT_VERSION = 1
+
+
+@contextmanager
+def _gc_paused():
+    """Pause cyclic GC, whose passes cost a third of a 100k-triple build."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True, order=True)
@@ -36,19 +64,20 @@ class Triple:
 
 
 class KnowledgeGraph:
-    """Immutable triple store with forward and inverse adjacency indices."""
+    """Immutable triple store over int-keyed successor and predecessor lists."""
 
     __slots__ = (
         "_entity_names",
         "_relation_names",
         "_entity_ids",
         "_relation_ids",
-        "_triples",
-        "_fwd",
-        "_inv",
-        "_fwd_rel",
-        "_inv_rel",
+        "_n_entities",
+        "_n_relations",
+        "_facts",
+        "_succ",
+        "_pred",
         "_rel_pairs",
+        "_neighbors",
     )
 
     def __init__(
@@ -57,50 +86,41 @@ class KnowledgeGraph:
         relation_names: Iterable[str],
         name_triples: Iterable[tuple[str, str, str]],
     ):
-        # Names are sorted before id assignment so ids never depend on the
-        # order facts were read in.  The name lists may contain entities that
-        # appear in no triple (they round-trip through saved stores).
-        self._entity_names: list[str] = sorted(set(entity_names))
-        self._relation_names: list[str] = sorted(set(relation_names))
-        self._entity_ids = {name: i for i, name in enumerate(self._entity_names)}
-        self._relation_ids = {name: i for i, name in enumerate(self._relation_names)}
+        # The name lists may contain entities that appear in no triple (they
+        # round-trip through saved stores).
+        self._intern(sorted(set(entity_names)), sorted(set(relation_names)))
+        eids, rids = self._entity_ids, self._relation_ids
+        try:
+            triples = {(eids[h], rids[r], eids[t]) for h, r, t in name_triples}
+        except KeyError as exc:  # pragma: no cover - constructor misuse
+            raise UnknownSymbolError(f"symbol not in name tables: {exc}") from exc
+        self._index(sorted(triples))
 
-        triples: set[Triple] = set()
-        for h, r, t in name_triples:
-            try:
-                triples.add(
-                    Triple(self._entity_ids[h], self._relation_ids[r], self._entity_ids[t])
-                )
-            except KeyError as exc:  # pragma: no cover - constructor misuse
-                raise UnknownSymbolError(f"symbol not in name tables: {exc}") from exc
-        self._triples = triples
+    def _intern(self, entity_names: list[str], relation_names: list[str]) -> None:
+        """Take sorted, distinct name tables; ids are list positions."""
+        self._entity_names = entity_names
+        self._relation_names = relation_names
+        self._entity_ids = {name: i for i, name in enumerate(entity_names)}
+        self._relation_ids = {name: i for i, name in enumerate(relation_names)}
+        self._n_entities = len(entity_names)
+        self._n_relations = len(relation_names)
 
-        fwd: dict[int, list[tuple[int, int]]] = {}
-        inv: dict[int, list[tuple[int, int]]] = {}
-        fwd_rel: dict[tuple[int, int], list[int]] = {}
-        inv_rel: dict[tuple[int, int], list[int]] = {}
-        rel_pairs: dict[int, list[tuple[int, int]]] = {}
-        for t in triples:
-            fwd.setdefault(t.head, []).append((t.relation, t.tail))
-            inv.setdefault(t.tail, []).append((t.relation, t.head))
-            fwd_rel.setdefault((t.head, t.relation), []).append(t.tail)
-            inv_rel.setdefault((t.tail, t.relation), []).append(t.head)
-            rel_pairs.setdefault(t.relation, []).append((t.head, t.tail))
-        for lst in fwd.values():
-            lst.sort()
-        for lst in inv.values():
-            lst.sort()
-        for lst2 in fwd_rel.values():
-            lst2.sort()
-        for lst2 in inv_rel.values():
-            lst2.sort()
-        for lst3 in rel_pairs.values():
-            lst3.sort()
-        self._fwd = fwd
-        self._inv = inv
-        self._fwd_rel = fwd_rel
-        self._inv_rel = inv_rel
-        self._rel_pairs = rel_pairs
+    def _index(self, triples: Iterable[Sequence[int]]) -> None:
+        """One pass over id triples in strictly ascending (h, r, t) order."""
+        n_ent, n_rel = self._n_entities, self._n_relations
+        self._facts: set[int] = set()
+        self._succ: defaultdict[int, list[int]] = defaultdict(list)
+        self._pred: defaultdict[int, list[int]] = defaultdict(list)
+        self._rel_pairs: list[list[tuple[int, int]]] = [[] for _ in range(n_rel)]
+        self._neighbors: Optional[tuple[dict, dict]] = None
+        add_fact, succ, pred, pairs = (
+            self._facts.add, self._succ, self._pred, self._rel_pairs
+        )
+        for h, r, t in triples:
+            add_fact((h * n_rel + r) * n_ent + t)
+            succ[h * n_rel + r].append(t)
+            pred[t * n_rel + r].append(h)
+            pairs[r].append((h, t))
 
     # ------------------------------------------------------------------
     # construction
@@ -134,6 +154,7 @@ class KnowledgeGraph:
         return cls(entities, relations, name_triples)
 
     @classmethod
+    @_gc_paused()
     def from_file(cls, path: str | Path) -> "KnowledgeGraph":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_lines(fh)
@@ -143,15 +164,15 @@ class KnowledgeGraph:
 
     @property
     def num_entities(self) -> int:
-        return len(self._entity_names)
+        return self._n_entities
 
     @property
     def num_relations(self) -> int:
-        return len(self._relation_names)
+        return self._n_relations
 
     @property
     def num_triples(self) -> int:
-        return len(self._triples)
+        return len(self._facts)
 
     def entity_id(self, name: str) -> int:
         try:
@@ -186,11 +207,11 @@ class KnowledgeGraph:
         return list(self._relation_names)
 
     def _check_entity(self, eid: int) -> None:
-        if not 0 <= eid < len(self._entity_names):
+        if not 0 <= eid < self._n_entities:
             raise UnknownSymbolError(f"entity id out of range: {eid}")
 
     def _check_relation(self, rid: int) -> None:
-        if not 0 <= rid < len(self._relation_names):
+        if not 0 <= rid < self._n_relations:
             raise UnknownSymbolError(f"relation id out of range: {rid}")
 
     # ------------------------------------------------------------------
@@ -201,16 +222,10 @@ class KnowledgeGraph:
         self._check_entity(triple.head)
         self._check_relation(triple.relation)
         self._check_entity(triple.tail)
-        return triple in self._triples
+        return self.holds(triple.head, triple.relation, triple.tail)
 
     def has_fact_ids(self, head: int, relation: int, tail: int) -> bool:
         return self.has_fact(Triple(head, relation, tail))
-
-    def has_fact_names(self, head: str, relation: str, tail: str) -> bool:
-        return (
-            Triple(self.entity_id(head), self.relation_id(relation), self.entity_id(tail))
-            in self._triples
-        )
 
     def neighbors(self, eid: int, direction: str = FORWARD) -> list[tuple[int, int]]:
         """Edges incident to ``eid`` as (relation id, other entity id) pairs.
@@ -219,48 +234,49 @@ class KnowledgeGraph:
         come back in canonical order: ascending relation id, then entity id.
         """
         self._check_entity(eid)
-        if direction == FORWARD:
-            return list(self._fwd.get(eid, ()))
-        if direction == INVERSE:
-            return list(self._inv.get(eid, ()))
-        raise UsageError(
-            f"direction must be {FORWARD!r} or {INVERSE!r}, got {direction!r}"
-        )
+        if direction not in (FORWARD, INVERSE):
+            raise UsageError(
+                f"direction must be {FORWARD!r} or {INVERSE!r}, got {direction!r}"
+            )
+        if self._neighbors is None:
+            self._neighbors = (self._group(self._succ), self._group(self._pred))
+        fwd, inv = self._neighbors
+        return list((fwd if direction == FORWARD else inv).get(eid, ()))
+
+    def _group(self, lists: dict[int, list[int]]) -> dict[int, list[tuple[int, int]]]:
+        """Regroup ``e·R + r -> ids`` lists as ``e -> [(r, id), ...]``."""
+        out: dict[int, list[tuple[int, int]]] = {}
+        for key in sorted(lists):
+            eid, rid = divmod(key, self._n_relations)
+            out.setdefault(eid, []).extend(zip(repeat(rid), lists[key]))
+        return out
 
     def successors(self, eid: int, rid: int) -> list[int]:
         """Tails reachable from ``eid`` via relation ``rid``, ascending."""
         self._check_entity(eid)
         self._check_relation(rid)
-        return list(self._fwd_rel.get((eid, rid), ()))
+        return list(self.tails(eid, rid))
 
     def predecessors(self, eid: int, rid: int) -> list[int]:
         """Heads that reach ``eid`` via relation ``rid``, ascending."""
         self._check_entity(eid)
         self._check_relation(rid)
-        return list(self._inv_rel.get((eid, rid), ()))
-
-    def facts_of(self, eid: int) -> list[Triple]:
-        """All facts where ``eid`` is head or tail, deduplicated.
-
-        Self loops appear once.  Results are in canonical triple order
-        (ascending head, relation, tail ids).  Isolated entities yield [].
-        """
-        self._check_entity(eid)
-        seen: set[Triple] = set()
-        for r, t in self._fwd.get(eid, ()):
-            seen.add(Triple(eid, r, t))
-        for r, h in self._inv.get(eid, ()):
-            seen.add(Triple(h, r, eid))
-        return sorted(seen)
+        return list(self.heads(eid, rid))
 
     def relation_pairs(self, rid: int) -> list[tuple[int, int]]:
         """All (head, tail) entity pairs of a relation, ascending."""
         self._check_relation(rid)
-        return list(self._rel_pairs.get(rid, ()))
+        return list(self._rel_pairs[rid])
 
     def triples(self) -> Iterator[Triple]:
         """All facts in canonical (head, relation, tail) order."""
-        return iter(sorted(self._triples))
+        return (Triple(h, r, t) for h, r, t in self._id_triples())
+
+    def _id_triples(self) -> Iterator[tuple[int, int, int]]:
+        for hr in sorted(self._succ):
+            h, r = divmod(hr, self._n_relations)
+            for t in self._succ[hr]:
+                yield h, r, t
 
     def stats(self) -> dict[str, int]:
         return {
@@ -270,6 +286,18 @@ class KnowledgeGraph:
         }
 
     # ------------------------------------------------------------------
+    # unchecked views: valid ids only, results must not be mutated
+
+    def tails(self, eid: int, rid: int) -> Sequence[int]:
+        return self._succ.get(eid * self._n_relations + rid, ())
+
+    def heads(self, eid: int, rid: int) -> Sequence[int]:
+        return self._pred.get(eid * self._n_relations + rid, ())
+
+    def holds(self, head: int, rid: int, tail: int) -> bool:
+        return (head * self._n_relations + rid) * self._n_entities + tail in self._facts
+
+    # ------------------------------------------------------------------
     # persistence
 
     def save(self, path: str | Path) -> None:
@@ -277,34 +305,63 @@ class KnowledgeGraph:
             "format_version": STORE_FORMAT_VERSION,
             "entities": self._entity_names,
             "relations": self._relation_names,
-            "triples": sorted([t.head, t.relation, t.tail] for t in self._triples),
+            "triples": [[h, r, t] for h, r, t in self._id_triples()],
         }
+        # json.dumps runs the C encoder; json.dump would not.
+        text = json.dumps(payload, separators=(",", ":"), ensure_ascii=False)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, separators=(",", ":"), ensure_ascii=False)
+            fh.write(text)
             fh.write("\n")
 
     @classmethod
+    @_gc_paused()
     def load(cls, path: str | Path) -> "KnowledgeGraph":
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DataError(f"not a valid store file: {path}") from exc
+        if not isinstance(payload, dict):
+            raise DataError(f"{path}: a store must be a JSON object")
         version = payload.get("format_version")
         if version != STORE_FORMAT_VERSION:
             raise DataError(
                 f"unsupported store format version {version!r} in {path}"
             )
-        entities = payload["entities"]
-        relations = payload["relations"]
-        graph = cls.__new__(cls)
-        KnowledgeGraph.__init__(
-            graph,
-            entities,
-            relations,
-            [
-                (entities[h], relations[r], entities[t])
-                for h, r, t in payload["triples"]
-            ],
+        entities, relations, triples = (
+            payload.get(key) for key in ("entities", "relations", "triples")
         )
+        for field, names in (("entities", entities), ("relations", relations)):
+            if not isinstance(names, list) or not all(
+                type(name) is str and name for name in names
+            ) or len(set(names)) != len(names):
+                raise DataError(
+                    f"{path}: {field!r} must list distinct, non-empty strings"
+                )
+        if not isinstance(triples, list):
+            raise DataError(f"{path}: 'triples' must be a list")
+        n_ent, n_rel = len(entities), len(relations)
+        canonical = True
+        last = -1
+        for triple in triples:
+            if type(triple) is not list or len(triple) != 3:
+                raise DataError(f"{path}: a triple must be three ids: {triple!r}")
+            h, r, t = triple
+            if not (
+                type(h) is int and type(r) is int and type(t) is int
+                and 0 <= h < n_ent and 0 <= r < n_rel and 0 <= t < n_ent
+            ):
+                raise DataError(f"{path}: bad triple ids: {triple!r}")
+            key = (h * n_rel + r) * n_ent + t
+            canonical = canonical and key > last
+            last = key
+        if entities != sorted(entities) or relations != sorted(relations):
+            return cls(
+                entities,
+                relations,
+                ((entities[h], relations[r], entities[t]) for h, r, t in triples),
+            )
+        graph = cls.__new__(cls)
+        graph._intern(entities, relations)
+        graph._index(triples if canonical else sorted(set(map(tuple, triples))))
         return graph

@@ -208,7 +208,7 @@ def iter_body_groundings(kg: KnowledgeGraph, rule: Rule) -> Iterator[tuple[int, 
         if depth == hop:
             yield prefix
             return
-        for nxt in kg.successors(prefix[-1], rels[depth]):
+        for nxt in kg.tails(prefix[-1], rels[depth]):
             yield from extend(prefix + (nxt,), depth + 1)
 
     for h, t in kg.relation_pairs(rels[0]):
@@ -235,16 +235,11 @@ def ground_rule(
     ]
     for entities in iter_body_groundings(kg, rule):
         head_fact = None
-        if head_rid is not None:
-            candidate = Triple(entities[0], head_rid, entities[-1])
-            if kg.has_fact(candidate):
-                head_fact = candidate
+        if head_rid is not None and kg.holds(entities[0], head_rid, entities[-1]):
+            head_fact = Triple(entities[0], head_rid, entities[-1])
         if require_head and head_fact is None:
             continue
-        body_facts = tuple(
-            Triple(entities[i], rel_ids[i], entities[i + 1])
-            for i in range(rule.hop)
-        )
+        body_facts = tuple(map(Triple, entities, rel_ids, entities[1:]))
         yield RuleInstance(
             rule=rule, entities=entities, body_facts=body_facts, head_fact=head_fact
         )
@@ -279,14 +274,10 @@ class ChainCounts:
         for rid in rels[keep:]:
             if self._levels:
                 level: dict[int, dict[int, int]] = {}
-                succ: dict[int, list[int]] = {}
                 for a, ends in self._levels[-1].items():
                     nxt: dict[int, int] = {}
                     for b, n in ends.items():
-                        tails = succ.get(b)
-                        if tails is None:
-                            tails = succ[b] = kg.successors(b, rid)
-                        for c in tails:
+                        for c in kg.tails(b, rid):
                             nxt[c] = nxt.get(c, 0) + n
                     if nxt:
                         level[a] = nxt
@@ -324,7 +315,7 @@ def score_rule(
     if kg.has_relation(rule.head_relation):
         head_rid = kg.relation_id(rule.head_relation)
         for a, ends in frontiers.items():
-            for c in kg.successors(a, head_rid):
+            for c in kg.tails(a, head_rid):
                 y += ends.get(c, 0)
     return RuleStats(rule=rule, instance_count=y, body_count=x, head_and_body_count=y)
 

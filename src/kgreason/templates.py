@@ -188,6 +188,7 @@ class TemplateLibrary:
     ):
         self._relations: dict[str, RelationTemplate] = {}
         self._questions: dict[tuple[str, str], QuestionTemplate] = {}
+        self._fallbacks: dict[str, RelationTemplate] = {}
         self.allow_fallback = allow_fallback
         for rt in relations or ():
             self._relations[rt.relation] = rt
@@ -216,7 +217,10 @@ class TemplateLibrary:
             return found
         if not self.allow_fallback:
             raise TemplateError(f"no template for relation {relation!r}")
-        return generic_relation_template(relation)
+        fallback = self._fallbacks.get(relation)
+        if fallback is None:
+            fallback = self._fallbacks[relation] = generic_relation_template(relation)
+        return fallback
 
     def question(self, relation: str, side: str) -> QuestionTemplate:
         found = self._questions.get((relation, side))

@@ -271,6 +271,22 @@ class TestExitCodes:
         proc = run_cli(tmp_path, "stats", "--store", "store.json", check=False)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "store",
+        [
+            "[]",
+            '{"format_version": 1, "entities": ["a", "b"], "relations": ["r"], '
+            '"triples": [[-1, 0, 0]]}',
+        ],
+        ids=["top-level-list", "negative-id"],
+    )
+    def test_malformed_store_is_data_error(self, tmp_path, store):
+        (tmp_path / "store.json").write_text(store, encoding="utf-8")
+        proc = run_cli(tmp_path, "stats", "--store", "store.json", check=False)
+        assert proc.returncode == 2
+        assert "data error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_anonymized_select_requires_map(self, pipeline_dir, tmp_path):
         proc = run_cli(
             tmp_path, "select",

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -15,6 +18,8 @@ from kgreason.client import (
     mock_client,
 )
 from kgreason.errors import UsageError
+
+from conftest import SOURCE_ROOT
 
 
 class FakeResponse:
@@ -161,3 +166,33 @@ class TestMemoization:
         for t in threads:
             t.join()
         assert set(results) == {VERDICT_KNOWN}
+
+
+class TestLazyRequestsImport:
+    """Stage processes never need requests; only a live client does."""
+
+    def modules_after(self, code):
+        probe = "import sys\nprint('requests' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{code}\n{probe}"],
+            env={**os.environ, "PYTHONPATH": SOURCE_ROOT},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return proc.stdout.strip()
+
+    def test_cli_import_leaves_requests_out(self):
+        code = (
+            "import kgreason.cli\n"
+            "from kgreason.client import mock_client\n"
+            "mock_client()"
+        )
+        assert self.modules_after(code) == "False"
+
+    def test_live_client_without_transport_imports_requests(self):
+        code = (
+            "from kgreason.client import ClientConfig, ModelClient\n"
+            "ModelClient(ClientConfig(mode='live', endpoint='http://localhost:9'))"
+        )
+        assert self.modules_after(code) == "True"

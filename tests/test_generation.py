@@ -215,7 +215,7 @@ class TestCorpus:
         kg = self.corpus_kg(n_facts)
         hub = kg.entity_id("hub")
         return kg, build_corpus(
-            kg, hub, kg.facts_of(hub), TemplateLibrary.builtin(),
+            kg, hub, list(kg.triples()), TemplateLibrary.builtin(),
             kg.entity_name, seed,
         )
 

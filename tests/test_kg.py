@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -88,16 +91,6 @@ class TestQueries:
         with pytest.raises(UsageError):
             example_kg.neighbors(0, "sideways")
 
-    def test_facts_of_b(self, example_kg):
-        a, b, c = ids(example_kg, "a", "b", "c")
-        r2, r3 = example_kg.relation_id("r2"), example_kg.relation_id("r3")
-        assert example_kg.facts_of(b) == [Triple(a, r2, b), Triple(b, r3, c)]
-
-    def test_facts_of_a(self, example_kg):
-        a, b, c = ids(example_kg, "a", "b", "c")
-        r1, r2 = example_kg.relation_id("r1"), example_kg.relation_id("r2")
-        assert example_kg.facts_of(a) == [Triple(a, r1, c), Triple(a, r2, b)]
-
     def test_successors_predecessors(self, example_kg):
         a, b = ids(example_kg, "a", "b")
         r2 = example_kg.relation_id("r2")
@@ -125,7 +118,6 @@ class TestOrderIndependence:
         for e in range(kg1.num_entities):
             assert kg1.neighbors(e, FORWARD) == kg2.neighbors(e, FORWARD)
             assert kg1.neighbors(e, INVERSE) == kg2.neighbors(e, INVERSE)
-            assert kg1.facts_of(e) == kg2.facts_of(e)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**30))
@@ -166,3 +158,184 @@ class TestPersistence:
         path.write_text("not json")
         with pytest.raises(DataError):
             KnowledgeGraph.load(path)
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        kg = kg_from(random_triples(random.Random(3), 20, 4, 60))
+        first, second = tmp_path / "s1.json", tmp_path / "s2.json"
+        kg.save(first)
+        KnowledgeGraph.load(first).save(second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("reverse_names", [False, True])
+    def test_store_out_of_canonical_order_loads_as_canonical(
+        self, tmp_path, reverse_names
+    ):
+        kg = kg_from(random_triples(random.Random(4), 15, 4, 50))
+        canonical = tmp_path / "canonical.json"
+        kg.save(canonical)
+        payload = json.loads(canonical.read_text(encoding="utf-8"))
+        entities, relations = payload["entities"], payload["relations"]
+        triples = payload["triples"]
+        if reverse_names:
+            # Reverse both name tables and renumber every id to match.
+            n_ent, n_rel = len(entities), len(relations)
+            triples = [
+                [n_ent - 1 - h, n_rel - 1 - r, n_ent - 1 - t] for h, r, t in triples
+            ]
+            payload.update(entities=entities[::-1], relations=relations[::-1])
+        # Shuffle the triples and repeat one of them.
+        triples.append(triples[0])
+        random.Random(5).shuffle(triples)
+        payload["triples"] = triples
+        shuffled = tmp_path / "shuffled.json"
+        shuffled.write_text(json.dumps(payload), encoding="utf-8")
+
+        loaded = KnowledgeGraph.load(shuffled)
+        assert loaded.entity_names() == entities
+        assert loaded.relation_names() == relations
+        assert list(loaded.triples()) == list(kg.triples())
+        resaved = tmp_path / "resaved.json"
+        loaded.save(resaved)
+        assert resaved.read_bytes() == canonical.read_bytes()
+
+    def test_isolated_entities_survive_a_round_trip(self, tmp_path):
+        path = tmp_path / "store.json"
+        path.write_text(
+            '{"format_version": 1, "entities": ["a", "b", "c"], '
+            '"relations": ["r"], "triples": [[0, 0, 2]]}',
+            encoding="utf-8",
+        )
+        kg = KnowledgeGraph.load(path)
+        assert kg.entity_names() == ["a", "b", "c"]
+        assert kg.neighbors(1, FORWARD) == []
+        assert kg.successors(0, 0) == [2]
+
+
+def store_text(entities=("a", "b"), relations=("r",), triples=((0, 0, 1),)):
+    return json.dumps(
+        {
+            "format_version": 1,
+            "entities": list(entities),
+            "relations": list(relations),
+            "triples": list(triples),
+        }
+    )
+
+
+class TestStoreValidation:
+    """Malformed stores raise DataError instead of loading or crashing."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '{"format_version": 1, "relations": [], "triples": []}',
+            '{"format_version": 1, "entities": [], "relations": []}',
+            store_text(triples=[(0, 0, 2)]),
+            store_text(triples=[(0, 1, 1)]),
+            store_text(triples=[(-1, 0, 0)]),
+            store_text(triples=[(0, 0, -1)]),
+            store_text(entities=["", "b"]),
+            store_text(relations=[""]),
+            store_text(triples=[(0.0, 0, 1)]),
+            store_text(triples=[("0", 0, 1)]),
+            store_text(triples=[(True, 0, 1)]),
+            store_text(triples=[(0, 0)]),
+            store_text(triples=[0]),
+            store_text(entities=["a", 1]),
+            store_text(entities=["a", "a"]),
+            store_text(relations=["r", "r"]),
+            '{"format_version": 1, "entities": "ab", "relations": [], "triples": []}',
+        ],
+        ids=[
+            "top-level-list",
+            "no-entities",
+            "no-triples",
+            "entity-id-out-of-range",
+            "relation-id-out-of-range",
+            "negative-head-id",
+            "negative-tail-id",
+            "empty-entity-name",
+            "empty-relation-name",
+            "float-id",
+            "string-id",
+            "bool-id",
+            "short-triple",
+            "triple-not-a-list",
+            "non-string-name",
+            "duplicate-entity-name",
+            "duplicate-relation-name",
+            "names-not-a-list",
+        ],
+    )
+    def test_rejected(self, tmp_path, text):
+        path = tmp_path / "store.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError):
+            KnowledgeGraph.load(path)
+
+    def test_well_formed_control_loads(self, tmp_path):
+        path = tmp_path / "store.json"
+        path.write_text(store_text(), encoding="utf-8")
+        assert KnowledgeGraph.load(path).num_triples == 1
+
+
+def assert_matches_oracle(kg, facts):
+    """Compare every query with a naive scan of a set of name triples.
+
+    Ids are assigned in sorted name order, so ascending ids must read as
+    ascending names.
+    """
+    ent, rel = kg.entity_name, kg.relation_name
+    entities = sorted({h for h, _, _ in facts} | {t for _, _, t in facts})
+    relations = sorted({r for _, r, _ in facts})
+    assert kg.entity_names() == entities
+    assert kg.relation_names() == relations
+    assert kg.num_triples == len(facts)
+    named = [(ent(t.head), rel(t.relation), ent(t.tail)) for t in kg.triples()]
+    assert named == sorted(facts)
+    for r in relations:
+        rid = kg.relation_id(r)
+        expected = sorted((h, t) for h, rr, t in facts if rr == r)
+        assert [(ent(h), ent(t)) for h, t in kg.relation_pairs(rid)] == expected
+    for e in entities:
+        eid = kg.entity_id(e)
+        out = sorted((r, t) for h, r, t in facts if h == e)
+        inc = sorted((r, h) for h, r, t in facts if t == e)
+        assert [(rel(r), ent(t)) for r, t in kg.neighbors(eid, FORWARD)] == out
+        assert [(rel(r), ent(h)) for r, h in kg.neighbors(eid, INVERSE)] == inc
+        for r in relations:
+            rid = kg.relation_id(r)
+            tails = sorted(t for h, rr, t in facts if h == e and rr == r)
+            heads = sorted(h for h, rr, t in facts if t == e and rr == r)
+            assert [ent(t) for t in kg.successors(eid, rid)] == tails
+            assert [ent(h) for h in kg.predecessors(eid, rid)] == heads
+            assert list(kg.tails(eid, rid)) == kg.successors(eid, rid)
+            assert list(kg.heads(eid, rid)) == kg.predecessors(eid, rid)
+            for other in entities:
+                oid = kg.entity_id(other)
+                present = (e, r, other) in facts
+                assert kg.has_fact(Triple(eid, rid, oid)) is present
+                assert kg.holds(eid, rid, oid) is present
+
+
+class TestNaiveOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c", "d", "é", "B", "a b"]),
+                st.sampled_from(["p", "q", "r_1"]),
+                st.sampled_from(["a", "b", "c", "d", "é", "B", "a b"]),
+            ),
+            max_size=30,
+        )
+    )
+    def test_queries_match_name_triple_oracle(self, triples):
+        facts = set(triples)
+        kg = kg_from(triples)
+        assert_matches_oracle(kg, facts)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "store.json"
+            kg.save(path)
+            assert_matches_oracle(KnowledgeGraph.load(path), facts)

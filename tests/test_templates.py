@@ -99,6 +99,22 @@ class TestLibrary:
         q = lib.question("plays_chess_with", SIDE_SUBJECT)
         assert "might be linked to A" in q.render("A")
 
+    def test_fallback_is_built_once_per_relation(self):
+        lib = TemplateLibrary.builtin()
+        first = lib.relation("plays_chess_with")
+        assert lib.relation("plays_chess_with") is first
+        assert lib.relation("plays_go_with") is not first
+
+    def test_added_template_wins_over_cached_fallback(self):
+        lib = TemplateLibrary.builtin()
+        lib.relation("plays_chess_with")
+        lib.add_relation(
+            RelationTemplate("plays_chess_with", "<ENT1> plays chess with <ENT2>.")
+        )
+        assert lib.relation("plays_chess_with").render("A", "B") == (
+            "A plays chess with B."
+        )
+
     def test_fallback_can_be_disabled(self):
         lib = TemplateLibrary(allow_fallback=False)
         with pytest.raises(TemplateError):
