@@ -6,6 +6,9 @@ stages are deterministic given the same inputs, options, and --seed, so a
 rerun in a fresh directory reproduces every artifact byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 model client error.
+
+A stage process imports only the modules its own command uses: the stage
+modules and the model client are imported inside the commands.
 """
 
 from __future__ import annotations
@@ -15,21 +18,36 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from . import evaluation, explore, generation, mining, selection, synthetic
-from .client import ClientConfig, ModelClient, mock_client
+from . import mining
 from .errors import ClientError, DataError, UsageError
 from .kg import KnowledgeGraph, Triple
 from .manifest import RunManifest
-from .rules import RuleStats, read_rules, sort_stats, write_rules
+from .rules import DEFAULT_MAX_HOP, RuleStats, read_rules, sort_stats, write_rules
 from .seeding import derive_seed
-from .selection import SETTING_ANONYMIZED, SETTING_REGULAR, AnonymizationMap
-from .templates import TemplateLibrary
+
+if TYPE_CHECKING:
+    from .client import ModelClient
+    from .generation import ReasoningSample
+    from .selection import AnonymizationMap, SelectionPool
+    from .templates import TemplateLibrary
 
 logger = logging.getLogger(__name__)
 
 PROG = "kgreason"
+
+# Copies of selection.SETTINGS and explore.ORACLE_KG / ORACLE_PROBE, so that
+# building the parser imports neither module; a test pins them equal.
+SETTING_ANONYMIZED = "anonymized"
+SETTING_REGULAR = "regular"
+SETTINGS = (SETTING_ANONYMIZED, SETTING_REGULAR)
+ORACLE_KG = "kg"
+ORACLE_PROBE = "probe"
+
+# compose's --max-hop runs from 2, which composes nothing, to 4: two
+# splices of two-hop base rules reach at most DEFAULT_MAX_HOP hops.
+MIN_MAX_HOP = 2
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -101,6 +119,8 @@ def _record(
 
 
 def _load_templates(path: Optional[str]) -> TemplateLibrary:
+    from .templates import TemplateLibrary
+
     library = TemplateLibrary.builtin()
     if path:
         library = TemplateLibrary.load(path)
@@ -108,6 +128,8 @@ def _load_templates(path: Optional[str]) -> TemplateLibrary:
 
 
 def _build_client(opts: Options, kg: KnowledgeGraph) -> ModelClient:
+    from .client import ClientConfig, ModelClient, mock_client
+
     mode = opts.get("client", str, "mock")
     if mode == "mock":
         table = {}
@@ -155,18 +177,22 @@ def _polisher(opts: Options, kg: KnowledgeGraph):
     if mode == "none":
         return None
     if mode == "mock":
+        from .client import mock_client
+
         return mock_client().polish
     return _build_client(opts, kg).polish
 
 
 def _load_pool(
     opts: Options, kg: KnowledgeGraph, seed: int
-) -> tuple[selection.SelectionPool, Optional[AnonymizationMap], str, Optional[str]]:
+) -> tuple[SelectionPool, Optional[AnonymizationMap], str, Optional[str]]:
+    from . import selection
+
     pool_path = opts.get("pool", str, None)
     if not pool_path:
         raise UsageError("--pool is required")
     map_path = opts.get("map", str, None)
-    mapping = AnonymizationMap.load(map_path, kg) if map_path else None
+    mapping = selection.AnonymizationMap.load(map_path, kg) if map_path else None
     name_map = mapping.entries if mapping else None
     pool = selection.read_pool(pool_path, kg, seed=seed, name_map=name_map)
     if pool.setting == SETTING_ANONYMIZED and mapping is None:
@@ -178,6 +204,8 @@ def _load_pool(
 # subcommands
 
 def cmd_synth(ns: argparse.Namespace) -> int:
+    from . import synthetic
+
     opts = Options(ns)
     seed = opts.get("seed", int, 0)
     out = opts.get("out", str, None)
@@ -263,7 +291,12 @@ def cmd_compose(ns: argparse.Namespace) -> int:
     out = opts.get("out", str, None)
     if not store or not rules_path or not out:
         raise UsageError("--store, --rules and --out are required")
-    max_hop = opts.get("max_hop", int, mining.DEFAULT_MAX_HOP)
+    max_hop = opts.get("max_hop", int, DEFAULT_MAX_HOP)
+    if not MIN_MAX_HOP <= max_hop <= DEFAULT_MAX_HOP:
+        raise UsageError(
+            f"--max-hop must be between {MIN_MAX_HOP} and {DEFAULT_MAX_HOP}, "
+            f"got {max_hop}"
+        )
     min_confidence = opts.get("min_confidence", str, mining.DEFAULT_MIN_CONFIDENCE)
     kg = KnowledgeGraph.load(store)
     base = read_rules(rules_path)
@@ -307,6 +340,8 @@ def cmd_compose(ns: argparse.Namespace) -> int:
 
 
 def cmd_select(ns: argparse.Namespace) -> int:
+    from . import explore, selection
+
     opts = Options(ns)
     seed = opts.get("seed", int, 0)
     store = opts.get("store", str, None)
@@ -363,6 +398,8 @@ def cmd_select(ns: argparse.Namespace) -> int:
 
 
 def cmd_generate(ns: argparse.Namespace) -> int:
+    from . import generation
+
     opts = Options(ns)
     seed = opts.get("seed", int, 0)
     store = opts.get("store", str, None)
@@ -385,6 +422,8 @@ def cmd_generate(ns: argparse.Namespace) -> int:
         outputs["corpus"] = corpus_path
     predictions_path = opts.get("predictions", str, None)
     if predictions_path:
+        from . import evaluation
+
         outputs["predictions"] = predictions_path
         evaluation.write_predictions(
             predictions_path, {s.sample_id: s.answer for s in samples}
@@ -398,6 +437,9 @@ def cmd_generate(ns: argparse.Namespace) -> int:
 
 
 def cmd_explore(ns: argparse.Namespace) -> int:
+    from . import explore, generation
+    from .selection import AnonymizationMap
+
     opts = Options(ns)
     seed = opts.get("seed", int, 0)
     store = opts.get("store", str, None)
@@ -410,10 +452,10 @@ def cmd_explore(ns: argparse.Namespace) -> int:
     pool, mapping, pool_path, map_path = _load_pool(opts, kg, stage_seed)
     templates = _load_templates(opts.get("templates", str, None))
     rule_library = read_rules(library_path)
-    oracle_kind = opts.get("oracle", str, explore.ORACLE_KG)
-    if oracle_kind == explore.ORACLE_KG:
+    oracle_kind = opts.get("oracle", str, ORACLE_KG)
+    if oracle_kind == ORACLE_KG:
         oracle = explore.KgFactOracle(kg)
-    elif oracle_kind == explore.ORACLE_PROBE:
+    elif oracle_kind == ORACLE_PROBE:
         client = _build_client(opts, kg)
         probe = explore.probe_from_client(kg, templates, client)
         oracle = explore.ProbeFactOracle(kg, probe)
@@ -446,6 +488,8 @@ def cmd_explore(ns: argparse.Namespace) -> int:
         )
     predictions_path = opts.get("predictions", str, None)
     if predictions_path:
+        from . import evaluation
+
         outputs["predictions"] = predictions_path
         evaluation.write_predictions(
             predictions_path, {s.sample_id: s.answer for s in samples}
@@ -463,13 +507,15 @@ def cmd_explore(ns: argparse.Namespace) -> int:
 
 
 def cmd_split(ns: argparse.Namespace) -> int:
+    from . import evaluation, generation
+
     opts = Options(ns)
     seed = opts.get("seed", int, 0)
     out = opts.get("out", str, None)
     training_path = opts.get("training_rules", str, None)
     if not out or not training_path or not ns.samples:
         raise UsageError("--samples, --training-rules and --out are required")
-    samples: list[generation.ReasoningSample] = []
+    samples: list[ReasoningSample] = []
     for path in ns.samples:
         samples.extend(generation.read_samples(path))
     training_ids = [st.rule.rule_id for st in read_rules(training_path)]
@@ -507,6 +553,9 @@ def cmd_split(ns: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(ns: argparse.Namespace) -> int:
+    from . import evaluation, generation
+    from .selection import AnonymizationMap
+
     opts = Options(ns)
     store = opts.get("store", str, None)
     library_path = opts.get("library", str, None)
@@ -524,7 +573,7 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
     if map_path:
         mapping = AnonymizationMap.load(map_path, kg)
         extra_names = {name: eid for eid, name in mapping.entries.items()}
-    by_id: dict[str, generation.ReasoningSample] = {}
+    by_id: dict[str, ReasoningSample] = {}
     for path in ns.samples:
         for sample in generation.read_samples(path):
             by_id[sample.sample_id] = sample
@@ -626,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--library")
     p.add_argument("--pool")
     p.add_argument("--map")
-    p.add_argument("--setting", choices=list(selection.SETTINGS))
+    p.add_argument("--setting", choices=list(SETTINGS))
     p.add_argument("--per-rule", dest="per_rule", type=int)
     p.add_argument("--templates")
     p.set_defaults(func=cmd_select)
@@ -654,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--library")
     p.add_argument("--templates")
     p.add_argument("--samples")
-    p.add_argument("--oracle", choices=[explore.ORACLE_KG, explore.ORACLE_PROBE])
+    p.add_argument("--oracle", choices=[ORACLE_KG, ORACLE_PROBE])
     p.add_argument("--max-trials", dest="max_trials", type=int)
     p.add_argument(
         "--ensure-error",

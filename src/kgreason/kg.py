@@ -21,6 +21,10 @@ once at their own boundary.
 Triple files are UTF-8 text, one fact per line, with exactly three
 tab-separated fields: head entity, relation, tail entity.  Duplicate lines
 collapse into one fact.  Blank lines are ignored.
+
+Relation names may not contain ``(``, ``)``, ``,`` or ``&``: rule encodings
+use them as delimiters, and a name holding one can make two rules encode
+alike.  Ingest and ``load`` reject such a name as a data error.
 """
 
 from __future__ import annotations
@@ -40,6 +44,17 @@ FORWARD = "forward"
 INVERSE = "inverse"
 
 STORE_FORMAT_VERSION = 1
+
+RESERVED_RELATION_CHARS = frozenset("(),&")
+
+
+def check_relation_name(name: str) -> None:
+    """Raise DataError when ``name`` holds a rule-encoding delimiter."""
+    if not RESERVED_RELATION_CHARS.isdisjoint(name):
+        raise DataError(
+            f"relation name {name!r} contains a reserved character; "
+            "'(', ')', ',' and '&' delimit rule encodings"
+        )
 
 
 @contextmanager
@@ -98,6 +113,8 @@ class KnowledgeGraph:
 
     def _intern(self, entity_names: list[str], relation_names: list[str]) -> None:
         """Take sorted, distinct name tables; ids are list positions."""
+        for name in relation_names:
+            check_relation_name(name)
         self._entity_names = entity_names
         self._relation_names = relation_names
         self._entity_ids = {name: i for i, name in enumerate(entity_names)}

@@ -18,11 +18,14 @@ exponentially with hop, and bodies that share a prefix share its
 propagation.  Thresholds are interpreted as exact decimals so that the
 strict comparison at a boundary such as 0.6 behaves the way the printed
 number reads, not the way its nearest binary float rounds.
+
+Composition splices two-hop rules into each other as ``(head, body)``
+relation tuples and builds a ``Rule`` only for each distinct candidate, so
+its cost follows the candidates kept, not the pairs tried.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -120,6 +123,8 @@ def _mine_counts(kg: KnowledgeGraph, workers: int) -> dict[tuple[int, int, int],
     if workers <= 1:
         return _count_stripe(kg, 0, 1)
     global _WORKER_KG
+    import multiprocessing
+
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
@@ -378,24 +383,37 @@ def compose_library(
 
     Three-hop rules come from every ordered pair of two-hop rules; four-hop
     rules from splicing a two-hop rule into each composed three-hop rule.
-    The result is deduplicated and sorted by (hop, canonical encoding).
+    Each splice follows ``compose_rules``, but on ``(head, body)`` relation
+    tuples: only the inner rules headed by a relation of the outer body are
+    tried, and a ``Rule`` is built only for each distinct candidate.  Since
+    relation names cannot hold the encoding's delimiters, distinct tuples
+    are distinct rule ids, so deduplicating tuples collapses exactly what
+    the ids would.  The result is sorted by (hop, canonical encoding).
     """
-    base = sorted(set(two_hop), key=lambda r: r.rule_id)
-    seen: dict[str, Rule] = {}
-    three: list[Rule] = []
-    for outer in base:
-        for inner in base:
-            rule = compose_rules(outer, inner, max_hop)
-            if rule is not None and rule.rule_id not in seen:
-                seen[rule.rule_id] = rule
-                three.append(rule)
-    four: list[Rule] = []
-    for outer in three:
-        for inner in base:
-            rule = compose_rules(outer, inner, max_hop)
-            if rule is not None and rule.rule_id not in seen:
-                seen[rule.rule_id] = rule
-                four.append(rule)
-    out = three + four
+    inners: dict[str, list[tuple[str, ...]]] = {}
+    base = {(r.head_relation, r.body_relations) for r in two_hop}
+    for head, body in base:
+        inners.setdefault(head, []).append(body)
+    seen: set[tuple[str, tuple[str, ...]]] = set()
+
+    def splice(outers: Iterable[tuple[str, tuple[str, ...]]]):
+        out = []
+        for head, body in outers:
+            room = max_hop - len(body) + 1
+            for at, rel in enumerate(body):
+                if rel in body[:at]:
+                    continue  # only the leftmost occurrence is replaced
+                for inner in inners.get(rel, ()):
+                    if len(inner) > room:
+                        continue
+                    rule = (head, body[:at] + inner + body[at + 1 :])
+                    if rule not in seen:
+                        seen.add(rule)
+                        out.append(rule)
+        return out
+
+    three = splice(base)
+    four = splice(three)
+    out = [Rule(head, body) for head, body in three + four]
     out.sort(key=lambda r: (r.hop, r.rule_id))
     return out

@@ -7,7 +7,12 @@ ordered tuple of body relations; variable names are derived from position
 and always form the canonical sequence X, Z1, Z2, ..., Y.
 
 The canonical textual encoding doubles as the rule id and as the sort tie
-breaker everywhere ordered rule lists are produced.
+breaker everywhere ordered rule lists are produced.  It is built once per
+rule, straight from the relation names and ``chain_vars``, and cached on the
+frozen ``Rule``; the rules file writes its atoms the same way.  Relation
+names may not contain ``(``, ``)``, ``,`` or ``&``, the encoding's
+delimiters, so the encoding is injective: two rules share an id exactly when
+they share their head relation and body relation sequence.
 """
 
 from __future__ import annotations
@@ -15,12 +20,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional
 
 from .errors import DataError, UsageError
-from .kg import Triple
+from .kg import Triple, check_relation_name
 
 VAR_X = "X"
 VAR_Y = "Y"
@@ -60,6 +66,8 @@ class Rule:
             raise UsageError("rule body must contain at least one atom")
         if not isinstance(self.body_relations, tuple):
             object.__setattr__(self, "body_relations", tuple(self.body_relations))
+        for name in (self.head_relation, *self.body_relations):
+            check_relation_name(name)
 
     @property
     def hop(self) -> int:
@@ -81,11 +89,15 @@ class Rule:
             for i, rel in enumerate(self.body_relations)
         )
 
-    @property
+    @cached_property
     def rule_id(self) -> str:
         """Compact canonical encoding, stable across runs on the same data."""
-        body = "&".join(a.encode() for a in self.body_atoms)
-        return f"{self.head_atom.encode()}<-{body}"
+        names = chain_vars(len(self.body_relations))
+        body = "&".join(
+            f"{rel}({a},{b})"
+            for rel, a, b in zip(self.body_relations, names, names[1:])
+        )
+        return f"{self.head_relation}({VAR_X},{VAR_Y})<-{body}"
 
     def formula(self) -> str:
         """Readable rendering used inside generated reasoning text."""
@@ -128,7 +140,7 @@ class RuleStats:
     body_count: int
     head_and_body_count: int
 
-    @property
+    @cached_property
     def confidence(self) -> Optional[Fraction]:
         """Exact confidence, or None when the rule is unscorable (no bodies)."""
         if self.body_count == 0:
@@ -182,28 +194,31 @@ def sort_stats(stats: Iterable[RuleStats]) -> list[RuleStats]:
     return sorted(stats, key=_confidence_key)
 
 
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
+
 def write_rules(path: str | Path, stats: Iterable[RuleStats]) -> int:
     """Write one rule per line in the order given.  Returns the line count."""
     count = 0
+    encode = _LINE_ENCODER.encode
     with open(path, "w", encoding="utf-8") as fh:
         for st in stats:
+            rule = st.rule
+            names = chain_vars(rule.hop)
             conf = st.confidence
             record = {
-                "rule": st.rule.rule_id,
-                "head": {
-                    "relation": st.rule.head_relation,
-                    "vars": list((st.rule.head_atom.subject, st.rule.head_atom.object)),
-                },
+                "rule": rule.rule_id,
+                "head": {"relation": rule.head_relation, "vars": [VAR_X, VAR_Y]},
                 "body": [
-                    {"relation": a.relation, "vars": [a.subject, a.object]}
-                    for a in st.rule.body_atoms
+                    {"relation": rel, "vars": [a, b]}
+                    for rel, a, b in zip(rule.body_relations, names, names[1:])
                 ],
-                "hop": st.rule.hop,
+                "hop": rule.hop,
                 "support": st.support,
                 "body_count": st.body_count,
                 "confidence": float(conf) if conf is not None else None,
             }
-            fh.write(json.dumps(record, separators=(",", ":"), ensure_ascii=False))
+            fh.write(encode(record))
             fh.write("\n")
             count += 1
     return count

@@ -1,0 +1,76 @@
+"""Rule-by-Rule reference implementations, used as test oracles.
+
+These are the forms the fast paths in `kgreason.rules` and
+`kgreason.mining` replaced: the rule encoding and the rules file written
+from `Atom` objects, and composition that tries every ordered pair of rules
+with `compose_rules` and deduplicates by `rule_id`.  They build far more
+objects than they keep, but their behaviour is the definition the fast
+paths must reproduce exactly.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Iterable, Sequence
+
+from kgreason.mining import compose_rules
+from kgreason.rules import DEFAULT_MAX_HOP, Rule, RuleStats
+
+
+def atom_rule_id(rule: Rule) -> str:
+    """The canonical encoding, one `Atom.encode` per atom."""
+    body = "&".join(a.encode() for a in rule.body_atoms)
+    return f"{rule.head_atom.encode()}<-{body}"
+
+
+def write_rules_by_atoms(path: str | Path, stats: Iterable[RuleStats]) -> int:
+    """The rules file, its head and body variables read off the atoms."""
+    count = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for st in stats:
+            conf = st.confidence
+            record = {
+                "rule": atom_rule_id(st.rule),
+                "head": {
+                    "relation": st.rule.head_relation,
+                    "vars": list((st.rule.head_atom.subject, st.rule.head_atom.object)),
+                },
+                "body": [
+                    {"relation": a.relation, "vars": [a.subject, a.object]}
+                    for a in st.rule.body_atoms
+                ],
+                "hop": st.rule.hop,
+                "support": st.support,
+                "body_count": st.body_count,
+                "confidence": float(conf) if conf is not None else None,
+            }
+            fh.write(json.dumps(record, separators=(",", ":"), ensure_ascii=False))
+            fh.write("\n")
+            count += 1
+    return count
+
+
+def compose_library_pairwise(
+    two_hop: Sequence[Rule], max_hop: int = DEFAULT_MAX_HOP
+) -> list[Rule]:
+    """Every ordered pair through `compose_rules`, first rule per id kept."""
+    base = sorted(set(two_hop), key=atom_rule_id)
+    seen: dict[str, Rule] = {}
+    three: list[Rule] = []
+    for outer in base:
+        for inner in base:
+            rule = compose_rules(outer, inner, max_hop)
+            if rule is not None and atom_rule_id(rule) not in seen:
+                seen[atom_rule_id(rule)] = rule
+                three.append(rule)
+    four: list[Rule] = []
+    for outer in three:
+        for inner in base:
+            rule = compose_rules(outer, inner, max_hop)
+            if rule is not None and atom_rule_id(rule) not in seen:
+                seen[atom_rule_id(rule)] = rule
+                four.append(rule)
+    out = three + four
+    out.sort(key=lambda r: (r.hop, atom_rule_id(r)))
+    return out

@@ -9,7 +9,10 @@ reproducibility check.
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,7 +23,7 @@ from kgreason.manifest import file_digest
 from kgreason.rules import Rule, RuleStats, read_rules, write_rules
 
 from conftest import PIPELINE_ARTIFACTS as ARTIFACTS
-from conftest import run_cli
+from conftest import SOURCE_ROOT, run_cli
 
 STAGES = (
     "synth",
@@ -390,3 +393,116 @@ class TestExitCodes:
             tmp_path, "ingest", "--triples", "t.tsv", "--store", "s.json"
         )
         assert proc.returncode == 0
+
+
+class TestComposeMaxHop:
+    """compose splices twice, so it can honour --max-hop 2 to 4 only."""
+
+    def compose(self, pipeline_dir, tmp_path, max_hop):
+        return run_cli(
+            tmp_path, "compose",
+            "--store", str(pipeline_dir / "store.json"),
+            "--rules", str(pipeline_dir / "rules.tsv"),
+            "--out", "library.tsv", "--max-hop", max_hop,
+            check=False,
+        )
+
+    @pytest.mark.parametrize("max_hop", ["5", "-3", "1"])
+    def test_out_of_range_is_usage_error(self, pipeline_dir, tmp_path, max_hop):
+        proc = self.compose(pipeline_dir, tmp_path, max_hop)
+        assert proc.returncode == 1
+        assert "usage error" in proc.stderr
+        assert "--max-hop" in proc.stderr
+        assert not (tmp_path / "library.tsv").exists()
+
+    @pytest.mark.parametrize("max_hop", [2, 3, 4])
+    def test_in_range_control(self, pipeline_dir, tmp_path, max_hop):
+        proc = self.compose(pipeline_dir, tmp_path, str(max_hop))
+        assert proc.returncode == 0, proc.stderr
+        hops = {st.rule.hop for st in read_rules(tmp_path / "library.tsv")}
+        assert hops == set(range(2, max_hop + 1))
+
+
+class TestReservedRelationNames:
+    """A relation name holding ( ) , or & would make rule ids ambiguous."""
+
+    @pytest.mark.parametrize(
+        "relation", ["a(X,Z1)&b", "b(X,Z1)&c", "a(", "a)", "a,b", "a&b"]
+    )
+    def test_ingest_rejects(self, tmp_path, relation):
+        (tmp_path / "t.tsv").write_text(
+            f"x\t{relation}\ty\nx\tc\ty\n", encoding="utf-8"
+        )
+        proc = run_cli(
+            tmp_path, "ingest", "--triples", "t.tsv", "--store", "s.json",
+            check=False,
+        )
+        assert proc.returncode == 2
+        assert "data error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("relation", ["a(X,Z1)&b", "b(X,Z1)&c"])
+    def test_load_rejects(self, tmp_path, relation):
+        store = {
+            "format_version": 1,
+            "entities": ["x", "y"],
+            "relations": sorted([relation, "c"]),
+            "triples": [[0, 0, 1], [0, 1, 1]],
+        }
+        (tmp_path / "s.json").write_text(json.dumps(store), encoding="utf-8")
+        proc = run_cli(tmp_path, "stats", "--store", "s.json", check=False)
+        assert proc.returncode == 2
+        assert "data error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_well_formed_control(self, tmp_path):
+        (tmp_path / "t.tsv").write_text("x\ta_b-c.d\ty\n", encoding="utf-8")
+        run_cli(tmp_path, "ingest", "--triples", "t.tsv", "--store", "s.json")
+        proc = run_cli(tmp_path, "stats", "--store", "s.json")
+        assert json.loads(proc.stdout)["relations"] == 1
+
+
+class TestStageImports:
+    """Building the parser imports no stage module a command may not use."""
+
+    def test_parser_choices_match_their_modules(self):
+        from kgreason import explore, selection
+
+        assert cli.SETTINGS == selection.SETTINGS
+        assert (cli.SETTING_ANONYMIZED, cli.SETTING_REGULAR) == (
+            selection.SETTING_ANONYMIZED,
+            selection.SETTING_REGULAR,
+        )
+        assert (cli.ORACLE_KG, cli.ORACLE_PROBE) == (
+            explore.ORACLE_KG,
+            explore.ORACLE_PROBE,
+        )
+
+    LAZY = (
+        "kgreason.evaluation",
+        "kgreason.explore",
+        "kgreason.generation",
+        "multiprocessing",
+    )
+
+    def loaded_after(self, code):
+        probe = f"import sys\nprint(sorted(set({self.LAZY!r}) & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{code}\n{probe}"],
+            env={**os.environ, "PYTHONPATH": SOURCE_ROOT},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return proc.stdout.strip()
+
+    def test_cli_import_leaves_stage_modules_out(self):
+        code = "import kgreason.cli\nkgreason.cli.build_parser()"
+        assert self.loaded_after(code) == "[]"
+
+    def test_probe_sees_a_loaded_stage_module(self):
+        code = "import kgreason.cli\nimport kgreason.explore"
+        assert self.loaded_after(code) == str(
+            ["kgreason.explore", "kgreason.generation"]
+        )

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import brute_chain_groundings, brute_rule_score, brute_two_hop
@@ -25,6 +25,7 @@ from kgreason.mining import (
     score_rule,
 )
 from kgreason.rules import Rule, RuleStats
+from rule_oracles import compose_library_pairwise
 
 
 def name_instances(kg, instances):
@@ -264,6 +265,38 @@ class TestComposition:
         assert Rule("a", ("e", "f", "d")) in lib
         assert Rule("h", ("e", "f", "d", "b")) in lib
         assert all(2 < r.hop <= 4 for r in lib)
+
+    # One input with every shape the splice must get right: a duplicated
+    # base rule, relation ``a`` heading two rules, and ``a`` twice in one
+    # body, so only its leftmost occurrence may be replaced.
+    SHAPES = [
+        Rule("h", ("a", "a")),
+        Rule("a", ("b", "c")),
+        Rule("a", ("c", "b")),
+        Rule("a", ("b", "c")),
+        Rule("b", ("a", "h")),
+        Rule("h", ("b", "a")),
+    ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                Rule,
+                st.sampled_from("habc"),
+                st.lists(st.sampled_from("habc"), min_size=1, max_size=3).map(tuple),
+            ),
+            max_size=10,
+        ).flatmap(lambda rules: st.permutations(rules + rules[: len(rules) // 3])),
+        st.sampled_from([2, 3, 4]),
+    )
+    @example(SHAPES, 2)
+    @example(SHAPES, 3)
+    @example(SHAPES, 4)
+    def test_library_equals_pairwise_oracle(self, base, max_hop):
+        assert compose_library(base, max_hop) == compose_library_pairwise(
+            base, max_hop
+        )
 
     def test_composed_regrounding_matches_joint_enumeration(self):
         rng = random.Random(5)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgreason.errors import DataError
+from kgreason.kg import RESERVED_RELATION_CHARS
 from kgreason.rules import (
     Atom,
     Rule,
@@ -19,7 +20,24 @@ from kgreason.rules import (
     write_rules,
 )
 
+from rule_oracles import atom_rule_id, write_rules_by_atoms
+
 relation_names = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
+
+# Any non-empty name without a reserved character: quotes, backslashes,
+# control characters and non-ASCII text all go through JSON escaping.
+# (Surrogates cannot be written as UTF-8 at all.)
+free_names = st.text(
+    st.characters(
+        blacklist_categories=("Cs",),
+        blacklist_characters="".join(RESERVED_RELATION_CHARS),
+    ),
+    min_size=1,
+    max_size=6,
+)
+free_rules = st.builds(
+    Rule, free_names, st.lists(free_names, min_size=1, max_size=4).map(tuple)
+)
 
 
 class TestRuleShape:
@@ -103,3 +121,61 @@ class TestRulesFile:
         path.write_text('{"rule": "zzz", "hop": 2}\n')
         with pytest.raises(DataError):
             read_rules(path)
+
+
+class TestReservedNames:
+    def test_ambiguous_pair_cannot_be_built(self):
+        # Both would encode as h(X,Y)<-a(X,Z1)&b(X,Z1)&c(Z1,Y).
+        with pytest.raises(DataError):
+            Rule("h", ("a(X,Z1)&b", "c"))
+        with pytest.raises(DataError):
+            Rule("h", ("a", "b(X,Z1)&c"))
+
+    @pytest.mark.parametrize("char", sorted(RESERVED_RELATION_CHARS))
+    def test_reserved_character_in_head_or_body(self, char):
+        with pytest.raises(DataError):
+            Rule(f"h{char}", ("a", "b"))
+        with pytest.raises(DataError):
+            Rule("h", ("a", f"b{char}c"))
+
+    def test_well_formed_control(self):
+        rule = Rule("h", ("a", "b", "c"))
+        assert Rule.decode(rule.rule_id) == rule
+
+    def test_reserved_relation_in_rules_file_is_data_error(self, tmp_path):
+        path = tmp_path / "rules.jsonl"
+        path.write_text(
+            '{"head": {"relation": "h"}, "body": [{"relation": "a(X,Z1)&b"}, '
+            '{"relation": "c"}], "support": 1, "body_count": 1}\n'
+        )
+        with pytest.raises(DataError):
+            read_rules(path)
+
+
+class TestFastPathOracles:
+    """The encoding and the writer match their Atom-based originals."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(free_rules)
+    def test_rule_id_equals_atom_encoding(self, rule):
+        assert rule.rule_id == atom_rule_id(rule)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                free_rules,
+                st.integers(0, 50),
+                st.integers(0, 50),
+            ),
+            max_size=8,
+        )
+    )
+    def test_write_rules_bytes_equal_atom_writer(self, tmp_path_factory, rows):
+        stats = [
+            RuleStats(rule, min(y, x), x, min(y, x)) for rule, y, x in rows
+        ]
+        d = tmp_path_factory.mktemp("rules")
+        assert write_rules(d / "fast.jsonl", stats) == len(stats)
+        write_rules_by_atoms(d / "atoms.jsonl", stats)
+        assert (d / "fast.jsonl").read_bytes() == (d / "atoms.jsonl").read_bytes()
