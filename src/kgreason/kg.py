@@ -49,11 +49,12 @@ RESERVED_RELATION_CHARS = frozenset("(),&")
 
 
 def check_relation_name(name: str) -> None:
-    """Raise DataError when ``name`` holds a rule-encoding delimiter."""
-    if not RESERVED_RELATION_CHARS.isdisjoint(name):
+    """Raise DataError unless ``name`` is a string free of rule-encoding
+    delimiters."""
+    if type(name) is not str or not RESERVED_RELATION_CHARS.isdisjoint(name):
         raise DataError(
-            f"relation name {name!r} contains a reserved character; "
-            "'(', ')', ',' and '&' delimit rule encodings"
+            f"bad relation name {name!r}: a relation name is a string "
+            "without '(', ')', ',' or '&', the delimiters of rule encodings"
         )
 
 

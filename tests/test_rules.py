@@ -142,10 +142,15 @@ class TestReservedNames:
         rule = Rule("h", ("a", "b", "c"))
         assert Rule.decode(rule.rule_id) == rule
 
-    def test_reserved_relation_in_rules_file_is_data_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "head, first",
+        [('"h"', '"a(X,Z1)&b"'), ('["h"]', '"a"'), ('"h"', "7"), ("null", '"a"')],
+        ids=["reserved", "list-head", "int-body", "null-head"],
+    )
+    def test_bad_relation_in_rules_file_is_data_error(self, tmp_path, head, first):
         path = tmp_path / "rules.jsonl"
         path.write_text(
-            '{"head": {"relation": "h"}, "body": [{"relation": "a(X,Z1)&b"}, '
+            f'{{"head": {{"relation": {head}}}, "body": [{{"relation": {first}}}, '
             '{"relation": "c"}], "support": 1, "body_count": 1}\n'
         )
         with pytest.raises(DataError):
