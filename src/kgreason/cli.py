@@ -5,10 +5,18 @@ directory and records what it read and wrote in a shared manifest.  All
 stages are deterministic given the same inputs, options, and --seed, so a
 rerun in a fresh directory reproduces every artifact byte for byte.
 
+Each stage is declared once, in the ``STAGES`` table: name, help text and
+options (type, default, choices, required), with its body in ``cmd_<stage>``.
+One driver builds the parser from the table, rejects a missing required
+option, opens the manifest and runs the body.  The body reads each option
+from its flag, then the --config file (held to the flag's type and choices),
+then the default, and returns its seed and counts.  The driver records them
+with every option the body read and the files it read and wrote.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 model client error.
 
 A stage process imports only the modules its own command uses: the stage
-modules and the model client are imported inside the commands.
+modules and the model client are imported inside the bodies.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from . import mining
 from .errors import ClientError, DataError, UsageError
@@ -49,17 +57,11 @@ ORACLE_PROBE = "probe"
 # splices of two-hop base rules reach at most DEFAULT_MAX_HOP hops.
 MIN_MAX_HOP = 2
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in _TRUE:
-        return True
-    if lowered in _FALSE:
-        return False
-    raise UsageError(f"not a boolean: {text!r}")
+# Config file spellings of a bool option's value.
+_BOOLS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
 
 
 def read_config(path: str | Path) -> dict[str, str]:
@@ -77,26 +79,92 @@ def read_config(path: str | Path) -> dict[str, str]:
     return config
 
 
-class Options:
-    """Option resolution: command line flag, then config file, then default.
+class Opt(NamedTuple):
+    """``--some-name`` on the command line, ``some_name=`` in a config file.
 
-    Every resolved value is remembered so the manifest records the effective
-    configuration of the stage.
+    A ``bool`` option is ``--name`` / ``--no-name``.  A ``many`` option takes
+    one or more values on the command line only and is not recorded.
     """
 
-    def __init__(self, ns: argparse.Namespace):
-        self.ns = ns
-        self.config = read_config(ns.config) if getattr(ns, "config", None) else {}
-        self.used: dict[str, str] = {}
+    dest: str
+    type: Callable[[str], Any] = str
+    default: Any = None
+    choices: Optional[Sequence] = None
+    required: bool = False
+    many: bool = False
 
-    def get(self, dest: str, conv: Callable[[str], object], default):
-        value = getattr(self.ns, dest, None)
+    @property
+    def flag(self) -> str:
+        return "--" + self.dest.replace("_", "-")
+
+    def from_config(self, raw: str):
+        """A config file value, held to the same type and choices as the flag."""
+        try:
+            value = _BOOLS[raw.lower()] if self.type is bool else self.type(raw)
+        except (KeyError, ValueError):
+            raise UsageError(
+                f"config value {self.dest}={raw!r} is not a valid {self.type.__name__}"
+            ) from None
+        if self.choices is not None and value not in self.choices:
+            allowed = ", ".join(map(str, self.choices))
+            raise UsageError(f"config value {self.dest}={raw!r}: choose from {allowed}")
+        return value
+
+
+class Stage(NamedTuple):
+    name: str
+    help: str
+    options: tuple[Opt, ...]
+    # Whether the stage adds an entry to the manifest.
+    records: bool = True
+
+
+class Options:
+    """A stage's options, each resolved when the body first reads it:
+    command line flag, then config file, then default.
+
+    The options the body reads, and the files it names as its inputs and
+    outputs, are remembered for the manifest entry of the stage.
+    """
+
+    def __init__(self, ns: argparse.Namespace, options: Sequence[Opt]):
+        self.ns = ns
+        self.specs = {opt.dest: opt for opt in options}
+        raw = read_config(ns.config) if ns.config else {}
+        self.config = {
+            key: self.specs[key].from_config(value)
+            for key, value in raw.items()
+            if key in self.specs and not self.specs[key].many
+        }
+        self.used: dict[str, str] = {}
+        self.inputs: dict[str, str] = {}
+        self.outputs: dict[str, str] = {}
+
+    def get(self, dest: str):
+        value = getattr(self.ns, dest)
+        if self.specs[dest].many:
+            return value
         if value is None:
-            raw = self.config.get(dest)
-            value = conv(raw) if raw is not None else default
+            value = self.config.get(dest, self.specs[dest].default)
         if value is not None:
             self.used[dest] = str(value)
         return value
+
+    def input(self, dest: str):
+        """The file(s) an option names, read by the stage; none if unset."""
+        paths = self.get(dest)
+        if paths and self.specs[dest].many:
+            self.inputs.update({f"{dest}_{i}": p for i, p in enumerate(paths)})
+        elif paths:
+            self.inputs[dest] = paths
+        return paths
+
+    def output(self, dest: str, label: Optional[str] = None):
+        """The file an option names, written by the stage under ``label``."""
+        path = self.get(dest)
+        if path:
+            self.outputs[label or dest] = path
+        return path
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,56 +172,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _record(
-    ns: argparse.Namespace,
-    stage: str,
-    seed: Optional[int],
-    opts: Options,
-    inputs: dict[str, str],
-    outputs: dict[str, str],
-    counts: dict[str, int],
-) -> None:
-    manifest = RunManifest(ns.manifest)
-    manifest.record_stage(stage, seed, opts.used, inputs, outputs, counts)
-    manifest.save()
-
-
 def _load_templates(path: Optional[str]) -> TemplateLibrary:
     from .templates import TemplateLibrary
 
-    library = TemplateLibrary.builtin()
-    if path:
-        library = TemplateLibrary.load(path)
-    return library
+    return TemplateLibrary.load(path) if path else TemplateLibrary.builtin()
 
 
-def _build_client(opts: Options, kg: KnowledgeGraph) -> ModelClient:
+def _build_client(
+    opts: Options, kg: KnowledgeGraph, templates: TemplateLibrary
+) -> ModelClient:
     from .client import ClientConfig, ModelClient, mock_client
 
-    mode = opts.get("client", str, "mock")
-    if mode == "mock":
-        table = {}
-        facts_path = opts.get("probe_facts", str, None)
-        if facts_path:
-            table = _probe_table(opts, kg, facts_path)
+    if opts.get("client") == "mock":
+        facts_path = opts.get("probe_facts")
+        table = _probe_table(kg, templates, facts_path) if facts_path else {}
         return mock_client(table)
-    config = ClientConfig(
-        mode="live",
-        endpoint=opts.get("endpoint", str, ""),
-        model=opts.get("model", str, ""),
-        token_env=opts.get("token_env", str, "KGREASON_API_TOKEN"),
-        timeout=opts.get("timeout", float, 30.0),
-        max_retries=opts.get("max_retries", int, 2),
-        parallelism=opts.get("parallelism", int, 4),
-    )
-    return ModelClient(config)
+    live = ("endpoint", "model", "token_env", "timeout", "max_retries")
+    return ModelClient(ClientConfig(mode="live", **{k: opts.get(k) for k in live}))
 
 
 def _probe_table(
-    opts: Options, kg: KnowledgeGraph, facts_path: str
+    kg: KnowledgeGraph, templates: TemplateLibrary, facts_path: str
 ) -> dict[str, str]:
     """Sentences the simulated model treats as known, from a triple file."""
-    templates = _load_templates(opts.get("templates", str, None))
     table: dict[str, str] = {}
     with open(facts_path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -172,133 +213,97 @@ def _probe_table(
     return table
 
 
-def _polisher(opts: Options, kg: KnowledgeGraph):
-    mode = opts.get("polisher", str, "none")
+def _polisher(opts: Options, kg: KnowledgeGraph, templates: TemplateLibrary):
+    mode = opts.get("polisher")
     if mode == "none":
         return None
     if mode == "mock":
         from .client import mock_client
 
         return mock_client().polish
-    return _build_client(opts, kg).polish
+    return _build_client(opts, kg, templates).polish
 
 
 def _load_pool(
     opts: Options, kg: KnowledgeGraph, seed: int
-) -> tuple[SelectionPool, Optional[AnonymizationMap], str, Optional[str]]:
+) -> tuple[SelectionPool, Optional[AnonymizationMap]]:
     from . import selection
 
-    pool_path = opts.get("pool", str, None)
-    if not pool_path:
-        raise UsageError("--pool is required")
-    map_path = opts.get("map", str, None)
+    pool_path, map_path = opts.input("pool"), opts.input("map")
     mapping = selection.AnonymizationMap.load(map_path, kg) if map_path else None
     name_map = mapping.entries if mapping else None
     pool = selection.read_pool(pool_path, kg, seed=seed, name_map=name_map)
     if pool.setting == SETTING_ANONYMIZED and mapping is None:
         raise UsageError("anonymized pool requires --map")
-    return pool, mapping, pool_path, map_path
+    return pool, mapping
+
+
+def _write_predictions(opts: Options, samples: Sequence[ReasoningSample]) -> None:
+    """With --predictions, write each sample's own answer as its prediction."""
+    path = opts.output("predictions")
+    if path:
+        from . import evaluation
+
+        evaluation.write_predictions(path, {s.sample_id: s.answer for s in samples})
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# stage bodies: each does its stage's work and returns the seed and the
+# counts for its manifest entry
 
-def cmd_synth(ns: argparse.Namespace) -> int:
+Counts = dict[str, int]
+
+
+def cmd_synth(opts: Options) -> tuple[int, Counts]:
     from . import synthetic
 
-    opts = Options(ns)
-    seed = opts.get("seed", int, 0)
-    out = opts.get("out", str, None)
-    kind = opts.get("kind", str, "planted")
-    n_triples = opts.get("triples", int, 5000)
-    if not out:
-        raise UsageError("--out is required")
-    stage_seed = derive_seed(seed, "synth")
-    if kind == "planted":
+    out = opts.output("out", "triples")
+    n_triples = opts.get("triples")
+    stage_seed = derive_seed(opts.get("seed"), "synth")
+    if opts.get("kind") == "planted":
         triples = synthetic.planted_triples(stage_seed, n_triples)
-    elif kind == "random":
-        triples = synthetic.random_triples(
-            stage_seed,
-            opts.get("entities", int, 200),
-            opts.get("relations", int, 10),
-            n_triples,
-        )
     else:
-        raise UsageError(f"unknown synthetic kind: {kind}")
+        triples = synthetic.random_triples(
+            stage_seed, opts.get("entities"), opts.get("relations"), n_triples
+        )
     count = synthetic.write_triples(out, triples)
-    _record(ns, "synth", stage_seed, opts, {}, {"triples": out}, {"triples": count})
     print(f"wrote {count} triples to {out}")
-    return 0
+    return stage_seed, {"triples": count}
 
 
-def cmd_ingest(ns: argparse.Namespace) -> int:
-    opts = Options(ns)
-    triples = opts.get("triples", str, None)
-    store = opts.get("store", str, None)
-    if not triples or not store:
-        raise UsageError("--triples and --store are required")
-    kg = KnowledgeGraph.from_file(triples)
+def cmd_ingest(opts: Options) -> tuple[None, Counts]:
+    store = opts.output("store")
+    kg = KnowledgeGraph.from_file(opts.input("triples"))
     kg.save(store)
     stats = kg.stats()
-    _record(ns, "ingest", None, opts, {"triples": triples}, {"store": store}, stats)
     print(
         f"ingested {stats['triples']} facts over {stats['entities']} entities "
         f"and {stats['relations']} relations into {store}"
     )
-    return 0
+    return None, stats
 
 
-def cmd_stats(ns: argparse.Namespace) -> int:
-    opts = Options(ns)
-    store = opts.get("store", str, None)
-    if not store:
-        raise UsageError("--store is required")
-    kg = KnowledgeGraph.load(store)
+def cmd_stats(opts: Options) -> None:
+    kg = KnowledgeGraph.load(opts.get("store"))
     print(json.dumps(kg.stats(), indent=2, sort_keys=True))
-    return 0
 
 
-def cmd_mine(ns: argparse.Namespace) -> int:
-    opts = Options(ns)
-    store = opts.get("store", str, None)
-    out = opts.get("out", str, None)
-    if not store or not out:
-        raise UsageError("--store and --out are required")
-    min_support = opts.get("min_support", int, mining.DEFAULT_MIN_SUPPORT)
-    min_confidence = opts.get("min_confidence", str, mining.DEFAULT_MIN_CONFIDENCE)
-    workers = opts.get("workers", int, 1)
-    kg = KnowledgeGraph.load(store)
-    stats = mining.mine_rule_stats(kg, workers=workers)
-    kept = mining.filter_stats(stats, min_support, min_confidence)
-    count = write_rules(out, kept)
-    _record(
-        ns,
-        "mine",
-        None,
-        opts,
-        {"store": store},
-        {"rules": out},
-        {"candidates": len(stats), "rules": count},
+def cmd_mine(opts: Options) -> tuple[None, Counts]:
+    kg = KnowledgeGraph.load(opts.input("store"))
+    stats = mining.mine_rule_stats(kg, workers=opts.get("workers"))
+    kept = mining.filter_stats(
+        stats, opts.get("min_support"), opts.get("min_confidence")
     )
+    count = write_rules(opts.output("out", "rules"), kept)
     print(f"mined {len(stats)} candidate rules, kept {count}")
-    return 0
+    return None, {"candidates": len(stats), "rules": count}
 
 
-def cmd_compose(ns: argparse.Namespace) -> int:
-    opts = Options(ns)
-    store = opts.get("store", str, None)
-    rules_path = opts.get("rules", str, None)
-    out = opts.get("out", str, None)
-    if not store or not rules_path or not out:
-        raise UsageError("--store, --rules and --out are required")
-    max_hop = opts.get("max_hop", int, DEFAULT_MAX_HOP)
-    if not MIN_MAX_HOP <= max_hop <= DEFAULT_MAX_HOP:
-        raise UsageError(
-            f"--max-hop must be between {MIN_MAX_HOP} and {DEFAULT_MAX_HOP}, "
-            f"got {max_hop}"
-        )
-    min_confidence = opts.get("min_confidence", str, mining.DEFAULT_MIN_CONFIDENCE)
-    kg = KnowledgeGraph.load(store)
+def cmd_compose(opts: Options) -> tuple[None, Counts]:
+    rules_path = opts.input("rules")
+    max_hop = opts.get("max_hop")
+    threshold = mining.exact_fraction(opts.get("min_confidence"))
+    kg = KnowledgeGraph.load(opts.input("store"))
     base = read_rules(rules_path)
     for st in base:
         if st.rule.hop != 2:
@@ -307,7 +312,6 @@ def cmd_compose(ns: argparse.Namespace) -> int:
                 f"got {st.rule.rule_id}"
             )
     composed = mining.compose_library([st.rule for st in base], max_hop=max_hop)
-    threshold = mining.exact_fraction(min_confidence)
     kept: list[RuleStats] = []
     # Bodies in sorted order share the longest prefixes with their
     # predecessor; the library is sorted again below, so order is free.
@@ -316,212 +320,122 @@ def cmd_compose(ns: argparse.Namespace) -> int:
         scored = mining.score_rule(kg, rule, chains)
         if scored.confidence is not None and scored.confidence > threshold:
             kept.append(scored)
-    library = sort_stats(list(base) + kept)
-    count = write_rules(out, library)
-    _record(
-        ns,
-        "compose",
-        None,
-        opts,
-        {"store": store, "rules": rules_path},
-        {"library": out},
-        {
-            "base": len(base),
-            "composed_candidates": len(composed),
-            "composed_kept": len(kept),
-            "library": count,
-        },
-    )
+    count = write_rules(opts.output("out", "library"), sort_stats(list(base) + kept))
     print(
         f"composed {len(composed)} candidates, kept {len(kept)}; "
         f"library holds {count} rules"
     )
-    return 0
+    return None, {
+        "base": len(base),
+        "composed_candidates": len(composed),
+        "composed_kept": len(kept),
+        "library": count,
+    }
 
 
-def cmd_select(ns: argparse.Namespace) -> int:
+def cmd_select(opts: Options) -> tuple[int, Counts]:
     from . import explore, selection
 
-    opts = Options(ns)
-    seed = opts.get("seed", int, 0)
-    store = opts.get("store", str, None)
-    library_path = opts.get("library", str, None)
-    pool_path = opts.get("pool", str, None)
-    if not store or not library_path or not pool_path:
-        raise UsageError("--store, --library and --pool are required")
-    setting = opts.get("setting", str, SETTING_ANONYMIZED)
-    per_rule_n = opts.get("per_rule", int, 6)
-    map_path = opts.get("map", str, None)
-    if setting == SETTING_ANONYMIZED and not map_path:
+    setting = opts.get("setting")
+    if setting == SETTING_ANONYMIZED and not opts.get("map"):
         raise UsageError("anonymized setting requires --map")
-    kg = KnowledgeGraph.load(store)
-    stats = read_rules(library_path)
+    kg = KnowledgeGraph.load(opts.input("store"))
+    stats = read_rules(opts.input("library"))
     per_rule = {
         st.rule.rule_id: list(mining.ground_rule(kg, st.rule)) for st in stats
     }
     oracle = None
     if setting == SETTING_REGULAR:
-        templates = _load_templates(opts.get("templates", str, None))
-        client = _build_client(opts, kg)
+        templates = _load_templates(opts.get("templates"))
+        client = _build_client(opts, kg, templates)
         oracle = explore.probe_from_client(kg, templates, client)
-    stage_seed = derive_seed(seed, "select")
+    stage_seed = derive_seed(opts.get("seed"), "select")
     pool, mapping = selection.select_pipeline(
-        kg, per_rule, per_rule_n, stage_seed, setting, oracle
+        kg, per_rule, opts.get("per_rule"), stage_seed, setting, oracle
     )
-    count = selection.write_pool(pool_path, pool, kg)
-    outputs = {"pool": pool_path}
+    count = selection.write_pool(opts.output("pool"), pool, kg)
     map_entries = 0
     if mapping is not None:
-        mapping.save(map_path, kg)
-        outputs["map"] = map_path
+        mapping.save(opts.output("map"), kg)
         map_entries = len(mapping.entries)
-    counts = {
-        "instances": count,
-        "rules": len(pool.per_rule),
-        "map_entries": map_entries,
-    }
-    counts.update(pool.dropped)
-    _record(
-        ns,
-        "select",
-        stage_seed,
-        opts,
-        {"store": store, "library": library_path},
-        outputs,
-        counts,
-    )
+    counts = {"instances": count, "rules": len(pool.per_rule)}
+    counts.update(map_entries=map_entries, **pool.dropped)
     print(
         f"selected {count} instances across {len(pool.per_rule)} rules "
         f"({setting} setting)"
     )
-    return 0
+    return stage_seed, counts
 
 
-def cmd_generate(ns: argparse.Namespace) -> int:
+def cmd_generate(opts: Options) -> tuple[int, Counts]:
     from . import generation
 
-    opts = Options(ns)
-    seed = opts.get("seed", int, 0)
-    store = opts.get("store", str, None)
-    samples_path = opts.get("samples", str, None)
-    corpus_path = opts.get("corpus", str, None)
-    if not store or not samples_path:
-        raise UsageError("--store and --samples are required")
-    kg = KnowledgeGraph.load(store)
-    stage_seed = derive_seed(seed, "generate")
-    pool, _, pool_path, map_path = _load_pool(opts, kg, stage_seed)
-    templates = _load_templates(opts.get("templates", str, None))
-    polisher = _polisher(opts, kg)
+    kg = KnowledgeGraph.load(opts.input("store"))
+    stage_seed = derive_seed(opts.get("seed"), "generate")
+    pool, _ = _load_pool(opts, kg, stage_seed)
+    templates = _load_templates(opts.get("templates"))
+    polisher = _polisher(opts, kg, templates)
     samples, info = generation.make_samples(kg, pool, templates, polisher)
-    generation.write_samples(samples_path, samples)
-    outputs = {"samples": samples_path}
+    generation.write_samples(opts.output("samples"), samples)
     counts = dict(info)
+    corpus_path = opts.output("corpus")
     if corpus_path:
         docs = generation.corpus_from_pool(kg, pool, templates, stage_seed, polisher)
         counts["corpus_docs"] = generation.write_corpus(corpus_path, docs)
-        outputs["corpus"] = corpus_path
-    predictions_path = opts.get("predictions", str, None)
-    if predictions_path:
-        from . import evaluation
-
-        outputs["predictions"] = predictions_path
-        evaluation.write_predictions(
-            predictions_path, {s.sample_id: s.answer for s in samples}
-        )
-    inputs = {"store": store, "pool": pool_path}
-    if map_path:
-        inputs["map"] = map_path
-    _record(ns, "generate", stage_seed, opts, inputs, outputs, counts)
+    _write_predictions(opts, samples)
     print(f"generated {len(samples)} samples ({info['skipped_ambiguous']} skipped)")
-    return 0
+    return stage_seed, counts
 
 
-def cmd_explore(ns: argparse.Namespace) -> int:
+def cmd_explore(opts: Options) -> tuple[int, Counts]:
     from . import explore, generation
     from .selection import AnonymizationMap
 
-    opts = Options(ns)
-    seed = opts.get("seed", int, 0)
-    store = opts.get("store", str, None)
-    library_path = opts.get("library", str, None)
-    samples_path = opts.get("samples", str, None)
-    if not store or not library_path or not samples_path:
-        raise UsageError("--store, --library and --samples are required")
-    kg = KnowledgeGraph.load(store)
-    stage_seed = derive_seed(seed, "explore")
-    pool, mapping, pool_path, map_path = _load_pool(opts, kg, stage_seed)
-    templates = _load_templates(opts.get("templates", str, None))
-    rule_library = read_rules(library_path)
-    oracle_kind = opts.get("oracle", str, ORACLE_KG)
-    if oracle_kind == ORACLE_KG:
+    kg = KnowledgeGraph.load(opts.input("store"))
+    stage_seed = derive_seed(opts.get("seed"), "explore")
+    pool, mapping = _load_pool(opts, kg, stage_seed)
+    templates = _load_templates(opts.get("templates"))
+    rule_library = read_rules(opts.input("library"))
+    if opts.get("oracle") == ORACLE_KG:
         oracle = explore.KgFactOracle(kg)
-    elif oracle_kind == ORACLE_PROBE:
-        client = _build_client(opts, kg)
+    else:
+        client = _build_client(opts, kg, templates)
         probe = explore.probe_from_client(kg, templates, client)
         oracle = explore.ProbeFactOracle(kg, probe)
-    else:
-        raise UsageError(f"unknown oracle: {oracle_kind}")
-    max_trials = opts.get("max_trials", int, None)
-    ensure_error = opts.get("ensure_error", _parse_bool, True)
-    polisher = _polisher(opts, kg)
+    polisher = _polisher(opts, kg, templates)
+    max_trials, ensure_error = opts.get("max_trials"), opts.get("ensure_error")
     samples, info, minted = explore.explore_samples(
-        kg,
-        pool,
-        templates,
-        rule_library,
-        oracle,
-        max_trials=max_trials,
-        ensure_error=ensure_error,
-        polisher=polisher,
+        kg, pool, templates, rule_library, oracle, max_trials, ensure_error, polisher
     )
-    generation.write_samples(samples_path, samples)
-    outputs = {"samples": samples_path}
-    map_out = opts.get("map_out", str, None)
-    if map_out and mapping is not None:
-        AnonymizationMap({**mapping.entries, **minted}).save(map_out, kg)
-        outputs["map"] = map_out
+    generation.write_samples(opts.output("samples"), samples)
+    if opts.get("map_out") and mapping is not None:
+        merged = AnonymizationMap({**mapping.entries, **minted})
+        merged.save(opts.output("map_out", "map"), kg)
     elif minted:
         logger.warning(
             "minted %d synthetic names for trace narration; pass --map-out "
             "to persist them for evaluation",
             len(minted),
         )
-    predictions_path = opts.get("predictions", str, None)
-    if predictions_path:
-        from . import evaluation
-
-        outputs["predictions"] = predictions_path
-        evaluation.write_predictions(
-            predictions_path, {s.sample_id: s.answer for s in samples}
-        )
-    inputs = {"store": store, "pool": pool_path, "library": library_path}
-    if map_path:
-        inputs["map"] = map_path
-    _record(ns, "explore", stage_seed, opts, inputs, outputs, dict(info))
+    _write_predictions(opts, samples)
     print(
         f"explored {len(samples)} samples "
         f"({info['error_traces']} with recovered missteps, "
         f"{info['skipped_exhausted']} exhausted)"
     )
-    return 0
+    return stage_seed, dict(info)
 
 
-def cmd_split(ns: argparse.Namespace) -> int:
+def cmd_split(opts: Options) -> tuple[int, Counts]:
     from . import evaluation, generation
 
-    opts = Options(ns)
-    seed = opts.get("seed", int, 0)
-    out = opts.get("out", str, None)
-    training_path = opts.get("training_rules", str, None)
-    if not out or not training_path or not ns.samples:
-        raise UsageError("--samples, --training-rules and --out are required")
+    seed = opts.get("seed")
     samples: list[ReasoningSample] = []
-    for path in ns.samples:
+    for path in opts.input("samples"):
         samples.extend(generation.read_samples(path))
-    training_ids = [st.rule.rule_id for st in read_rules(training_path)]
-    per_bucket = opts.get("per_bucket", int, None)
+    training_ids = [st.rule.rule_id for st in read_rules(opts.input("training_rules"))]
     splits = evaluation.build_splits(
-        samples, training_ids, per_bucket=per_bucket, seed=seed
+        samples, training_ids, per_bucket=opts.get("per_bucket"), seed=seed
     )
     payload = {
         "splits": [
@@ -533,223 +447,187 @@ def cmd_split(ns: argparse.Namespace) -> int:
             for split in splits
         ]
     }
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(opts.output("out", "splits"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    inputs = {f"samples_{i}": path for i, path in enumerate(ns.samples)}
-    inputs["training_rules"] = training_path
-    _record(
-        ns,
-        "split",
-        seed,
-        opts,
-        inputs,
-        {"splits": out},
-        {split.key: len(split.samples) for split in splits},
-    )
     for split in splits:
         print(f"{split.key}: {len(split.samples)} samples")
-    return 0
+    return seed, {split.key: len(split.samples) for split in splits}
 
 
-def cmd_evaluate(ns: argparse.Namespace) -> int:
+def cmd_evaluate(opts: Options) -> tuple[None, Counts]:
     from . import evaluation, generation
     from .selection import AnonymizationMap
 
-    opts = Options(ns)
-    store = opts.get("store", str, None)
-    library_path = opts.get("library", str, None)
-    splits_path = opts.get("splits", str, None)
-    report_path = opts.get("report", str, None)
-    if not store or not library_path or not splits_path or not report_path:
-        raise UsageError("--store, --library, --splits and --report are required")
-    if not ns.samples or not ns.predictions:
-        raise UsageError("--samples and --predictions are required")
-    kg = KnowledgeGraph.load(store)
-    stats = read_rules(library_path)
-    templates = _load_templates(opts.get("templates", str, None))
-    map_path = opts.get("map", str, None)
+    kg = KnowledgeGraph.load(opts.input("store"))
+    stats = read_rules(opts.input("library"))
+    templates = _load_templates(opts.get("templates"))
+    map_path = opts.input("map")
     extra_names = None
     if map_path:
         mapping = AnonymizationMap.load(map_path, kg)
         extra_names = {name: eid for eid, name in mapping.entries.items()}
     by_id: dict[str, ReasoningSample] = {}
-    for path in ns.samples:
+    for path in opts.input("samples"):
         for sample in generation.read_samples(path):
             by_id[sample.sample_id] = sample
-    splits = evaluation.read_splits(splits_path, by_id)
+    splits = evaluation.read_splits(opts.input("splits"), by_id)
     outputs: dict[str, str] = {}
-    for path in ns.predictions:
+    for path in opts.input("predictions"):
         outputs.update(evaluation.read_predictions(path))
     evaluator = evaluation.Evaluator(kg, stats, templates, extra_names)
     report = evaluator.evaluate(splits, outputs)
-    report.save(report_path)
+    report.save(opts.output("report"))
     print(report.render_table())
-    inputs = {
-        "store": store,
-        "library": library_path,
-        "splits": splits_path,
-    }
-    inputs.update({f"samples_{i}": p for i, p in enumerate(ns.samples)})
-    inputs.update({f"predictions_{i}": p for i, p in enumerate(ns.predictions)})
-    if map_path:
-        inputs["map"] = map_path
-    _record(
-        ns,
-        "evaluate",
-        None,
-        opts,
-        inputs,
-        {"report": report_path},
-        {"splits": len(splits), "predictions": len(outputs)},
-    )
-    return 0
+    return None, {"splits": len(splits), "predictions": len(outputs)}
 
 
 # ----------------------------------------------------------------------
-# parser
+# the stage table
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value option file")
-    parser.add_argument("--manifest", default="manifest.json")
-    parser.add_argument("--seed", type=int)
+# Every stage also takes --config, --manifest and this option.
+SEED = Opt("seed", int, 0)
+STORE = Opt("store", required=True)
+OUT = Opt("out", required=True)
+LIBRARY = Opt("library", required=True)
+POOL = Opt("pool", required=True)
+SAMPLE_FILES = Opt("samples", required=True, many=True)
+MAP = Opt("map")
+TEMPLATES = Opt("templates")
+MIN_CONFIDENCE = Opt("min_confidence", default=mining.DEFAULT_MIN_CONFIDENCE)
+CLIENT = (
+    Opt("client", default="mock", choices=("mock", "live")),
+    Opt("probe_facts"),
+    Opt("endpoint", default=""),
+    Opt("model", default=""),
+    Opt("token_env", default="KGREASON_API_TOKEN"),
+    Opt("timeout", float, 30.0),
+    Opt("max_retries", int, 2),
+)
+# generate and explore both turn a pool into samples.
+FROM_POOL = (
+    STORE,
+    POOL,
+    MAP,
+    TEMPLATES,
+    Opt("samples", required=True),
+    Opt("predictions"),
+    Opt("polisher", default="none", choices=("none", "mock", "live")),
+    *CLIENT,
+)
+
+STAGES = (
+    Stage("synth", "generate a synthetic triple file", (
+        OUT,
+        Opt("kind", default="planted", choices=("planted", "random")),
+        Opt("triples", int, 5000),
+        Opt("entities", int, 200),
+        Opt("relations", int, 10),
+    )),
+    Stage("ingest", "load a triple file into a graph store", (
+        Opt("triples", required=True),
+        STORE,
+    )),
+    Stage("stats", "print graph store statistics", (STORE,), records=False),
+    Stage("mine", "mine and filter two-hop rules", (
+        STORE,
+        OUT,
+        Opt("min_support", int, mining.DEFAULT_MIN_SUPPORT),
+        MIN_CONFIDENCE,
+        Opt("workers", int, 1),
+    )),
+    Stage("compose", "extend mined rules to longer chains", (
+        STORE,
+        Opt("rules", required=True),
+        OUT,
+        Opt("max_hop", int, DEFAULT_MAX_HOP, range(MIN_MAX_HOP, DEFAULT_MAX_HOP + 1)),
+        MIN_CONFIDENCE,
+    )),
+    Stage("select", "build a balanced instance pool", (
+        STORE,
+        LIBRARY,
+        POOL,
+        MAP,
+        Opt("setting", default=SETTING_ANONYMIZED, choices=SETTINGS),
+        Opt("per_rule", int, 6),
+        TEMPLATES,
+        *CLIENT,
+    )),
+    Stage("generate", "render question/answer samples", (*FROM_POOL, Opt("corpus"))),
+    Stage("explore", "trial-and-error reasoning traces", (
+        *FROM_POOL,
+        Opt("map_out"),
+        LIBRARY,
+        Opt("oracle", default=ORACLE_KG, choices=(ORACLE_KG, ORACLE_PROBE)),
+        Opt("max_trials", int),
+        Opt("ensure_error", bool, True),
+    )),
+    Stage("split", "partition samples into evaluation splits", (
+        SAMPLE_FILES,
+        Opt("training_rules", required=True),
+        OUT,
+        Opt("per_bucket", int),
+    )),
+    Stage("evaluate", "score predictions against splits", (
+        STORE,
+        LIBRARY,
+        Opt("splits", required=True),
+        SAMPLE_FILES,
+        Opt("predictions", required=True, many=True),
+        MAP,
+        TEMPLATES,
+        Opt("report", required=True),
+    )),
+)
 
 
-def _add_client_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--client", choices=["mock", "live"])
-    parser.add_argument("--probe-facts", dest="probe_facts")
-    parser.add_argument("--endpoint")
-    parser.add_argument("--model")
-    parser.add_argument("--token-env", dest="token_env")
-    parser.add_argument("--timeout", type=float)
-    parser.add_argument("--max-retries", dest="max_retries", type=int)
-    parser.add_argument("--parallelism", type=int)
-
+# ----------------------------------------------------------------------
+# the driver
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog=PROG, description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic triple file")
-    _add_common(p)
-    p.add_argument("--out")
-    p.add_argument("--kind", choices=["planted", "random"])
-    p.add_argument("--triples", type=int)
-    p.add_argument("--entities", type=int)
-    p.add_argument("--relations", type=int)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("ingest", help="load a triple file into a graph store")
-    _add_common(p)
-    p.add_argument("--triples")
-    p.add_argument("--store")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("stats", help="print graph store statistics")
-    _add_common(p)
-    p.add_argument("--store")
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("mine", help="mine and filter two-hop rules")
-    _add_common(p)
-    p.add_argument("--store")
-    p.add_argument("--out")
-    p.add_argument("--min-support", dest="min_support", type=int)
-    p.add_argument("--min-confidence", dest="min_confidence")
-    p.add_argument("--workers", type=int)
-    p.set_defaults(func=cmd_mine)
-
-    p = sub.add_parser("compose", help="extend mined rules to longer chains")
-    _add_common(p)
-    p.add_argument("--store")
-    p.add_argument("--rules")
-    p.add_argument("--out")
-    p.add_argument("--max-hop", dest="max_hop", type=int)
-    p.add_argument("--min-confidence", dest="min_confidence")
-    p.set_defaults(func=cmd_compose)
-
-    p = sub.add_parser("select", help="build a balanced instance pool")
-    _add_common(p)
-    _add_client_options(p)
-    p.add_argument("--store")
-    p.add_argument("--library")
-    p.add_argument("--pool")
-    p.add_argument("--map")
-    p.add_argument("--setting", choices=list(SETTINGS))
-    p.add_argument("--per-rule", dest="per_rule", type=int)
-    p.add_argument("--templates")
-    p.set_defaults(func=cmd_select)
-
-    p = sub.add_parser("generate", help="render question/answer samples")
-    _add_common(p)
-    _add_client_options(p)
-    p.add_argument("--store")
-    p.add_argument("--pool")
-    p.add_argument("--map")
-    p.add_argument("--templates")
-    p.add_argument("--samples")
-    p.add_argument("--corpus")
-    p.add_argument("--predictions")
-    p.add_argument("--polisher", choices=["none", "mock", "live"])
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("explore", help="trial-and-error reasoning traces")
-    _add_common(p)
-    _add_client_options(p)
-    p.add_argument("--store")
-    p.add_argument("--pool")
-    p.add_argument("--map")
-    p.add_argument("--map-out", dest="map_out")
-    p.add_argument("--library")
-    p.add_argument("--templates")
-    p.add_argument("--samples")
-    p.add_argument("--oracle", choices=[ORACLE_KG, ORACLE_PROBE])
-    p.add_argument("--max-trials", dest="max_trials", type=int)
-    p.add_argument(
-        "--ensure-error",
-        dest="ensure_error",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-    )
-    p.add_argument("--predictions")
-    p.add_argument("--polisher", choices=["none", "mock", "live"])
-    p.set_defaults(func=cmd_explore)
-
-    p = sub.add_parser("split", help="partition samples into evaluation splits")
-    _add_common(p)
-    p.add_argument("--samples", nargs="+")
-    p.add_argument("--training-rules", dest="training_rules")
-    p.add_argument("--out")
-    p.add_argument("--per-bucket", dest="per_bucket", type=int)
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("evaluate", help="score predictions against splits")
-    _add_common(p)
-    p.add_argument("--store")
-    p.add_argument("--library")
-    p.add_argument("--splits")
-    p.add_argument("--samples", nargs="+")
-    p.add_argument("--predictions", nargs="+")
-    p.add_argument("--map")
-    p.add_argument("--templates")
-    p.add_argument("--report")
-    p.set_defaults(func=cmd_evaluate)
-
+    for stage in STAGES:
+        p = sub.add_parser(stage.name, help=stage.help)
+        p.add_argument("--config", help="key=value option file")
+        p.add_argument("--manifest", default="manifest.json")
+        for opt in (SEED, *stage.options):
+            if opt.type is bool:
+                kwargs = {"action": argparse.BooleanOptionalAction}
+            else:
+                kwargs = {"type": opt.type, "choices": opt.choices}
+                kwargs["nargs"] = "+" if opt.many else None
+            p.add_argument(opt.flag, dest=opt.dest, **kwargs)
     return parser
 
 
+def run_stage(stage: Stage, ns: argparse.Namespace) -> None:
+    """Check the options, run the stage's body and record what it did."""
+    opts = Options(ns, (SEED, *stage.options))
+    missing = [o.flag for o in stage.options if o.required and not opts.get(o.dest)]
+    if missing:
+        raise UsageError(f"missing required options: {', '.join(missing)}")
+    # Opened first, so that a corrupt manifest fails before any output.
+    manifest = RunManifest(ns.manifest) if stage.records else None
+    # Looked up by name here, so that the body can be replaced at run time.
+    result = globals()[f"cmd_{stage.name}"](opts)
+    if manifest is not None:
+        seed, counts = result
+        manifest.record_stage(
+            stage.name, seed, opts.used, opts.inputs, opts.outputs, counts
+        )
+        manifest.save()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        return ns.func(ns)
+        ns = build_parser().parse_args(argv)
+        run_stage(next(s for s in STAGES if s.name == ns.command), ns)
+        return 0
     except UsageError as exc:
         print(f"{PROG}: usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"{PROG}: data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"{PROG}: data error: {exc}", file=sys.stderr)
         return 2
     except ClientError as exc:

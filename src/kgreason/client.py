@@ -19,8 +19,7 @@ import logging
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import ClientError, UsageError
@@ -49,7 +48,6 @@ class ClientConfig:
     timeout: float = 30.0
     max_retries: int = 2
     retry_backoff: float = 0.5
-    parallelism: int = 4
 
     def __post_init__(self):
         if self.mode not in (MODE_LIVE, MODE_MOCK):
@@ -112,14 +110,6 @@ class ModelClient:
         with self._lock:
             self._cache[sentence] = verdict
         return verdict
-
-    def probe_many(self, sentences: Iterable[str]) -> list[str]:
-        """Probe several sentences, concurrently in live mode."""
-        sentences = list(sentences)
-        if self.config.mode == MODE_MOCK or self.config.parallelism <= 1:
-            return [self.probe_fact(s) for s in sentences]
-        with ThreadPoolExecutor(max_workers=self.config.parallelism) as pool:
-            return list(pool.map(self.probe_fact, sentences))
 
     def polish(self, instruction: str, text: str) -> str:
         """Rewrite ``text`` per ``instruction``; identity on mock or failure."""

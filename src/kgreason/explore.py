@@ -66,9 +66,6 @@ class KgFactOracle:
     def relation_id(self, name: str) -> Optional[int]:
         return self.kg.relation_id(name) if self.kg.has_relation(name) else None
 
-    def holds(self, head: int, rid: int, tail: int) -> bool:
-        return self.kg.has_fact(Triple(head, rid, tail))
-
     def successors(self, eid: int, rid: Optional[int]) -> Sequence[int]:
         return [] if rid is None else self.kg.tails(eid, rid)
 
@@ -101,10 +98,6 @@ class ProbeFactOracle:
             cached = self._probe(Triple(head, rid, tail)) == VERDICT_KNOWN
             self._cache[key] = cached
         return cached
-
-    def holds(self, head: int, rid: int, tail: int) -> bool:
-        fact = Triple(head, rid, tail)
-        return self.kg.has_fact(fact) and self._known(head, rid, tail)
 
     def successors(self, eid: int, rid: Optional[int]) -> list[int]:
         if rid is None:

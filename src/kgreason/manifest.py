@@ -14,6 +14,8 @@ import json
 from pathlib import Path
 from typing import Mapping, Optional
 
+from .errors import DataError
+
 TOOL_VERSION = "0.1.0"
 MANIFEST_VERSION = 1
 
@@ -36,7 +38,13 @@ class RunManifest:
         self.path = Path(path)
         if self.path.exists():
             with open(self.path, "r", encoding="utf-8") as fh:
-                self.data = json.load(fh)
+                try:
+                    self.data = json.load(fh)
+                except ValueError as exc:
+                    raise DataError(f"{path}: not a JSON manifest: {exc}") from None
+            stages = self.data.get("stages") if isinstance(self.data, dict) else None
+            if not isinstance(stages, dict):
+                raise DataError(f"{path}: a manifest is an object with a 'stages' object")
         else:
             self.data = {
                 "manifest_version": MANIFEST_VERSION,

@@ -109,13 +109,15 @@ class Rule:
 
     @classmethod
     def decode(cls, rule_id: str) -> "Rule":
-        match = re.fullmatch(r"(.+)\(X,Y\)<-(.+)", rule_id)
+        match = re.fullmatch(r"(.+)\(X,Y\)<-(.+)", rule_id, re.DOTALL)
         if not match:
             raise DataError(f"not a canonical rule encoding: {rule_id!r}")
         head_relation = match.group(1)
         body_relations = []
         for idx, atom_text in enumerate(match.group(2).split("&")):
-            m = re.fullmatch(r"(.+)\(([A-Za-z0-9]+),([A-Za-z0-9]+)\)", atom_text)
+            m = re.fullmatch(
+                r"(.+)\(([A-Za-z0-9]+),([A-Za-z0-9]+)\)", atom_text, re.DOTALL
+            )
             if not m:
                 raise DataError(f"bad body atom in rule encoding: {atom_text!r}")
             body_relations.append(m.group(1))

@@ -239,6 +239,54 @@ class TestConfigFile:
         assert proc.returncode == 1
         assert "usage error" in proc.stderr
 
+    # A config value meets the same type and choices as its flag.
+    CONFIG_ARGS = {
+        "synth": ["--out", "out"],
+        "generate": [
+            "--store", "{d}/store.json", "--pool", "{d}/pool.tsv",
+            "--map", "{d}/map.tsv", "--samples", "out",
+        ],
+    }
+
+    def run_with_config(self, pipeline_dir, tmp_path, stage, line):
+        (tmp_path / "stage.cfg").write_text(f"{line}\n", encoding="utf-8")
+        args = [arg.format(d=pipeline_dir) for arg in self.CONFIG_ARGS[stage]]
+        return run_cli(
+            tmp_path, stage, "--config", "stage.cfg", *args, check=False
+        )
+
+    @pytest.mark.parametrize(
+        "stage, line",
+        [("generate", "polisher=bogus"), ("synth", "triples=abc")],
+        ids=["bad-choice", "bad-int"],
+    )
+    def test_bad_config_value_is_usage_error(
+        self, pipeline_dir, tmp_path, stage, line
+    ):
+        proc = self.run_with_config(pipeline_dir, tmp_path, stage, line)
+        assert proc.returncode == 1
+        assert "usage error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "stage, line, key, value",
+        [
+            ("generate", "polisher=mock", "polisher", "mock"),
+            ("synth", "triples=50", "triples", "50"),
+        ],
+        ids=["good-choice", "good-int"],
+    )
+    def test_good_config_value_control(
+        self, pipeline_dir, tmp_path, stage, line, key, value
+    ):
+        proc = self.run_with_config(pipeline_dir, tmp_path, stage, line)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out").exists()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["stages"][stage]["config"][key] == value
+
 
 class TestExitCodes:
     def test_missing_required_options(self, tmp_path):
@@ -289,6 +337,34 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "data error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "manifest", ["not json", "[]"], ids=["not-json", "top-level-list"]
+    )
+    @pytest.mark.parametrize(
+        "stage, args",
+        [
+            ("synth", ["--out", "out.tsv"]),
+            ("ingest", ["--triples", "t.tsv", "--store", "out.tsv"]),
+        ],
+        ids=["synth", "ingest"],
+    )
+    def test_corrupt_manifest_is_data_error(self, tmp_path, manifest, stage, args):
+        (tmp_path / "manifest.json").write_text(manifest, encoding="utf-8")
+        (tmp_path / "t.tsv").write_text("a\tr\tb\n", encoding="utf-8")
+        proc = run_cli(tmp_path, stage, *args, check=False)
+        assert proc.returncode == 2
+        assert "data error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out.tsv").exists()
+        assert (tmp_path / "manifest.json").read_text() == manifest
+
+    def test_stats_leaves_the_manifest_alone(self, pipeline_dir, tmp_path):
+        (tmp_path / "manifest.json").write_text("not json", encoding="utf-8")
+        store = str(pipeline_dir / "store.json")
+        proc = run_cli(tmp_path, "stats", "--store", store, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "manifest.json").read_text() == "not json"
 
     def test_anonymized_select_requires_map(self, pipeline_dir, tmp_path):
         proc = run_cli(

@@ -148,10 +148,6 @@ class TestMemoization:
         assert client.probe_fact("f.") == VERDICT_KNOWN
         assert len(transport.calls) == 1
 
-    def test_probe_many_matches_single_probes(self):
-        client = mock_client({"a.": VERDICT_KNOWN})
-        assert client.probe_many(["a.", "b."]) == [VERDICT_KNOWN, VERDICT_UNKNOWN]
-
     def test_cache_safe_under_threads(self):
         client = mock_client({"a.": VERDICT_KNOWN})
         results = []

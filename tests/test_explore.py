@@ -82,14 +82,6 @@ class TestKgFactOracle:
         assert oracle.relation_id("part_of") == kg.relation_id("part_of")
         assert oracle.relation_id("no_such_relation") is None
 
-    def test_holds_mirrors_graph(self):
-        kg = citizen_kg()
-        oracle = KgFactOracle(kg)
-        a, c, v = (kg.entity_id(n) for n in ("anykid", "cckqlvy", "vevedgta"))
-        rid = kg.relation_id("part_of")
-        assert oracle.holds(a, rid, c)
-        assert not oracle.holds(a, rid, v)
-
     def test_missing_relation_id_yields_no_neighbors(self):
         kg = citizen_kg()
         oracle = KgFactOracle(kg)
@@ -125,28 +117,32 @@ class TestProbeFactOracle:
     def test_undecided_fact_is_not_provable(self):
         kg, oracle, a, rid, c, _ = self.probe_setup()
         assert kg.has_fact(Triple(a, rid, c))
-        assert not oracle.holds(a, rid, c)
         assert oracle.successors(a, rid) == []
+        assert oracle.predecessors(c, rid) == []
 
     def test_known_facts_pass_through(self):
         kg, oracle, _, _, c, _ = self.probe_setup()
         rid = kg.relation_id("from_country")
         v = kg.entity_id("vevedgta")
-        assert oracle.holds(c, rid, v)
         assert oracle.successors(c, rid) == [v]
         assert oracle.predecessors(v, rid) == [c]
 
     def test_fact_absent_from_graph_skips_probe(self):
-        kg, oracle, a, rid, _, calls = self.probe_setup()
+        kg, oracle, a, rid, c, calls = self.probe_setup()
         v = kg.entity_id("vevedgta")
-        assert not oracle.holds(a, rid, v)
+        assert not kg.has_fact(Triple(a, rid, v))
+        assert oracle.predecessors(v, rid) == []
         assert calls == []
+        # Of the part_of facts from a, only the graph's (a, c) is probed.
+        oracle.successors(a, rid)
+        assert calls == [Triple(a, rid, c)]
 
     def test_verdicts_cached(self):
         kg, oracle, a, rid, c, calls = self.probe_setup()
         for _ in range(3):
-            oracle.holds(a, rid, c)
-        assert len(calls) == 1
+            assert oracle.successors(a, rid) == []
+            assert oracle.predecessors(c, rid) == []
+        assert calls == [Triple(a, rid, c)]
 
     def test_probe_from_client_renders_template_sentences(self):
         kg = citizen_kg()
@@ -603,9 +599,6 @@ class NothingOracle:
 
     def relation_id(self, name):
         return self.kg.relation_id(name) if self.kg.has_relation(name) else None
-
-    def holds(self, head, rid, tail):
-        return False
 
     def successors(self, eid, rid):
         return []

@@ -5,6 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+
+from kgreason.errors import DataError
 from kgreason.manifest import (
     MANIFEST_VERSION,
     RunManifest,
@@ -120,3 +123,14 @@ class TestRunManifest:
         assert (tmp_path / "manifest.json").read_bytes() == first
         assert first.endswith(b"}\n")
         json.loads(first)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["not json", "[]", "{}", '{"stages": []}', "\xff"],
+        ids=["not-json", "top-level-list", "no-stages", "list-stages", "not-utf8"],
+    )
+    def test_corrupt_manifest_is_data_error(self, tmp_path, text):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(DataError):
+            RunManifest(path)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgreason.errors import DataError
@@ -162,8 +162,10 @@ class TestFastPathOracles:
 
     @settings(max_examples=200, deadline=None)
     @given(free_rules)
+    @example(Rule("0", ("\n",)))
     def test_rule_id_equals_atom_encoding(self, rule):
         assert rule.rule_id == atom_rule_id(rule)
+        assert Rule.decode(rule.rule_id) == rule
 
     @settings(max_examples=100, deadline=None)
     @given(
