@@ -15,18 +15,15 @@ from .errors import (
     UnknownSymbolError,
     UsageError,
 )
-from .kg import FORWARD, INVERSE, KnowledgeGraph, Triple
-from .rules import Atom, Rule, RuleInstance, RuleStats
+from .kg import KnowledgeGraph, Triple
+from .rules import Rule, RuleInstance, RuleStats
 from .seeding import derive_seed
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom",
     "ClientError",
     "DataError",
-    "FORWARD",
-    "INVERSE",
     "IngestError",
     "KgReasonError",
     "KnowledgeGraph",

@@ -11,7 +11,8 @@ One driver builds the parser from the table, rejects a missing required
 option, opens the manifest and runs the body.  The body reads each option
 from its flag, then the --config file (held to the flag's type and choices),
 then the default, and returns its seed and counts.  The driver records them
-with every option the body read and the files it read and wrote.
+with every option the body read and the files it read and wrote.  A config
+key that names no option of any stage is a usage error.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 model client error.
 
@@ -131,6 +132,12 @@ class Options:
         self.ns = ns
         self.specs = {opt.dest: opt for opt in options}
         raw = read_config(ns.config) if ns.config else {}
+        # One file may serve several stages, so a key of another stage is
+        # skipped; a key of no stage at all is a typo.
+        known = {opt.dest for stage in STAGES for opt in stage.options}
+        unknown = sorted(key for key in raw if key not in known)
+        if unknown:
+            raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
         self.config = {
             key: self.specs[key].from_config(value)
             for key, value in raw.items()
@@ -485,7 +492,8 @@ def cmd_evaluate(opts: Options) -> tuple[None, Counts]:
 # ----------------------------------------------------------------------
 # the stage table
 
-# Every stage also takes --config, --manifest and this option.
+# Taken only by the stages that draw random numbers.  Every stage also takes
+# --config and --manifest.
 SEED = Opt("seed", int, 0)
 STORE = Opt("store", required=True)
 OUT = Opt("out", required=True)
@@ -514,6 +522,7 @@ FROM_POOL = (
     Opt("predictions"),
     Opt("polisher", default="none", choices=("none", "mock", "live")),
     *CLIENT,
+    SEED,
 )
 
 STAGES = (
@@ -523,6 +532,7 @@ STAGES = (
         Opt("triples", int, 5000),
         Opt("entities", int, 200),
         Opt("relations", int, 10),
+        SEED,
     )),
     Stage("ingest", "load a triple file into a graph store", (
         Opt("triples", required=True),
@@ -552,6 +562,7 @@ STAGES = (
         Opt("per_rule", int, 6),
         TEMPLATES,
         *CLIENT,
+        SEED,
     )),
     Stage("generate", "render question/answer samples", (*FROM_POOL, Opt("corpus"))),
     Stage("explore", "trial-and-error reasoning traces", (
@@ -567,6 +578,7 @@ STAGES = (
         Opt("training_rules", required=True),
         OUT,
         Opt("per_bucket", int),
+        SEED,
     )),
     Stage("evaluate", "score predictions against splits", (
         STORE,
@@ -591,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(stage.name, help=stage.help)
         p.add_argument("--config", help="key=value option file")
         p.add_argument("--manifest", default="manifest.json")
-        for opt in (SEED, *stage.options):
+        for opt in stage.options:
             if opt.type is bool:
                 kwargs = {"action": argparse.BooleanOptionalAction}
             else:
@@ -603,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_stage(stage: Stage, ns: argparse.Namespace) -> None:
     """Check the options, run the stage's body and record what it did."""
-    opts = Options(ns, (SEED, *stage.options))
+    opts = Options(ns, stage.options)
     missing = [o.flag for o in stage.options if o.required and not opts.get(o.dest)]
     if missing:
         raise UsageError(f"missing required options: {', '.join(missing)}")

@@ -486,7 +486,7 @@ def explore_samples(
     by_head: dict[str, list[Rule]] = {}
     explored: list[tuple[RuleInstance, str, int, ExplorationTrace]] = []
     for inst in pool.instances():
-        side = select_query_side(kg, inst.rule.head_atom, inst.bindings)
+        side = select_query_side(kg, inst)
         if side == QUERY_SKIP:
             skipped_ambiguous += 1
             continue

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional
 
 from .errors import DataError, TemplateError, UsageError
 from .kg import KnowledgeGraph, Triple
-from .rules import Atom, RuleInstance
+from .rules import RuleInstance
 from .seeding import derive_seed
 from .selection import SelectionPool
 from .templates import (
@@ -46,20 +46,18 @@ CONCLUSION_PREFIX = "Therefore, "
 ANSWER_SENTENCE = "Thus, {name} is the answer."
 
 
-def select_query_side(kg: KnowledgeGraph, head: Atom, bindings: dict[str, int]) -> str:
-    """Decide which side of the grounded head fact to ask about.
+def select_query_side(kg: KnowledgeGraph, instance: RuleInstance) -> str:
+    """Decide which side of the instance's head fact to ask about.
 
     Ask for the object when the subject has exactly one object under the
     head relation; otherwise ask for the subject when it is the unique
     subject for that object; otherwise the instance is unusable for an
     unambiguous question and the result is ``skip``.
     """
-    rid = kg.relation_id(head.relation)
-    x = bindings[head.subject]
-    y = bindings[head.object]
-    if len(kg.successors(x, rid)) == 1:
+    rid = kg.relation_id(instance.rule.head_relation)
+    if len(kg.successors(instance.subject, rid)) == 1:
         return SIDE_OBJECT
-    if len(kg.predecessors(y, rid)) == 1:
+    if len(kg.predecessors(instance.object, rid)) == 1:
         return SIDE_SUBJECT
     return QUERY_SKIP
 
@@ -240,7 +238,7 @@ def make_samples(
     skipped = 0
     for inst in pool.instances():
         name_of = lambda e: pool.display_name(kg, e)  # noqa: E731
-        side = select_query_side(kg, inst.rule.head_atom, inst.bindings)
+        side = select_query_side(kg, inst)
         if side == QUERY_SKIP:
             skipped += 1
             continue

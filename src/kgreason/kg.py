@@ -5,7 +5,7 @@ depends on the order triples arrive in.  With ``E`` entities and ``R``
 relations, fact (h, r, t) is the int ``(h·R + r)·E + t`` in one fact set.
 ``_succ`` maps ``h·R + r`` to the tails, ``_pred`` maps ``t·R + r`` to the
 heads, and ``_rel_pairs`` lists each relation's (head, tail) pairs.
-Per-entity ``neighbors`` lists are built on first use.
+Per-entity ``out_edges`` lists are built from ``_succ`` on first use.
 
 Canonical order: a saved store lists its names strictly ascending and its
 triples strictly ascending by (h, r, t).  Read in that order, every id lands
@@ -14,9 +14,9 @@ index.  ``load`` checks the order as it validates; a hand-made store out of
 it is remapped and sorted once and loads equal to its canonical form.
 
 The store is immutable and safe to query from several threads.  Public
-queries check ids and raise UnknownSymbolError; ``tails``, ``heads`` and
-``holds`` neither check nor copy, for hot paths that validated their ids
-once at their own boundary.
+queries check ids and raise UnknownSymbolError; ``tails``, ``heads``,
+``out_edges`` and ``holds`` neither check nor copy, for hot paths that
+validated their ids once at their own boundary.
 
 Triple files are UTF-8 text, one fact per line, with exactly three
 tab-separated fields: head entity, relation, tail entity.  Duplicate lines
@@ -38,10 +38,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import DataError, IngestError, UnknownSymbolError, UsageError
-
-FORWARD = "forward"
-INVERSE = "inverse"
+from .errors import DataError, IngestError, UnknownSymbolError
 
 STORE_FORMAT_VERSION = 1
 
@@ -93,7 +90,7 @@ class KnowledgeGraph:
         "_succ",
         "_pred",
         "_rel_pairs",
-        "_neighbors",
+        "_out",
     )
 
     def __init__(
@@ -130,7 +127,7 @@ class KnowledgeGraph:
         self._succ: defaultdict[int, list[int]] = defaultdict(list)
         self._pred: defaultdict[int, list[int]] = defaultdict(list)
         self._rel_pairs: list[list[tuple[int, int]]] = [[] for _ in range(n_rel)]
-        self._neighbors: Optional[tuple[dict, dict]] = None
+        self._out: Optional[dict[int, list[tuple[int, int]]]] = None
         add_fact, succ, pred, pairs = (
             self._facts.add, self._succ, self._pred, self._rel_pairs
         )
@@ -245,30 +242,6 @@ class KnowledgeGraph:
     def has_fact_ids(self, head: int, relation: int, tail: int) -> bool:
         return self.has_fact(Triple(head, relation, tail))
 
-    def neighbors(self, eid: int, direction: str = FORWARD) -> list[tuple[int, int]]:
-        """Edges incident to ``eid`` as (relation id, other entity id) pairs.
-
-        ``forward`` lists outgoing edges, ``inverse`` incoming ones.  Pairs
-        come back in canonical order: ascending relation id, then entity id.
-        """
-        self._check_entity(eid)
-        if direction not in (FORWARD, INVERSE):
-            raise UsageError(
-                f"direction must be {FORWARD!r} or {INVERSE!r}, got {direction!r}"
-            )
-        if self._neighbors is None:
-            self._neighbors = (self._group(self._succ), self._group(self._pred))
-        fwd, inv = self._neighbors
-        return list((fwd if direction == FORWARD else inv).get(eid, ()))
-
-    def _group(self, lists: dict[int, list[int]]) -> dict[int, list[tuple[int, int]]]:
-        """Regroup ``e·R + r -> ids`` lists as ``e -> [(r, id), ...]``."""
-        out: dict[int, list[tuple[int, int]]] = {}
-        for key in sorted(lists):
-            eid, rid = divmod(key, self._n_relations)
-            out.setdefault(eid, []).extend(zip(repeat(rid), lists[key]))
-        return out
-
     def successors(self, eid: int, rid: int) -> list[int]:
         """Tails reachable from ``eid`` via relation ``rid``, ascending."""
         self._check_entity(eid)
@@ -311,6 +284,17 @@ class KnowledgeGraph:
 
     def heads(self, eid: int, rid: int) -> Sequence[int]:
         return self._pred.get(eid * self._n_relations + rid, ())
+
+    def out_edges(self, eid: int) -> Sequence[tuple[int, int]]:
+        """Outgoing edges of ``eid`` as (relation id, tail id) pairs, in
+        canonical order: ascending relation id, then tail id."""
+        if self._out is None:
+            out: dict[int, list[tuple[int, int]]] = {}
+            for key in sorted(self._succ):
+                h, r = divmod(key, self._n_relations)
+                out.setdefault(h, []).extend(zip(repeat(r), self._succ[key]))
+            self._out = out
+        return self._out.get(eid, ())
 
     def holds(self, head: int, rid: int, tail: int) -> bool:
         return (head * self._n_relations + rid) * self._n_entities + tail in self._facts

@@ -1,13 +1,13 @@
 """Rule mining, scoring, filtering, and composition.
 
-Two-hop rule instances are found by a breadth-first sweep: for every edge
-(A, r1, B) and continuation (B, r2, C), every relation r3 with (A, r3, C)
-present closes the path and witnesses one instance of
-``r3(X,Y) <- r1(X,Z1) & r2(Z1,Y)``.
+Two-hop rule instances are counted by a breadth-first sweep over each
+entity's outgoing edges: for every edge (A, r1, B) and continuation
+(B, r2, C), every relation r3 with (A, r3, C) present closes the path and
+counts one instance of ``r3(X,Y) <- r1(X,Z1) & r2(Z1,Y)``.
 
 Scoring counts distinct full variable bindings.  ``body_count`` (x) is the
-number of bindings satisfying the body chain alone, ``head_and_body_count``
-(y) the subset whose head fact also holds, and confidence is the exact
+number of bindings satisfying the body chain alone, ``support`` (y) the
+part of them whose head fact also holds, and confidence is the exact
 rational y/x.  Chains of any length are scored without listing their
 bindings: ``ChainCounts`` carries, for each start entity, a map from end
 entity to the number of body paths reaching it, one relation at a time.
@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import UsageError
-from .kg import FORWARD, KnowledgeGraph, Triple
+from .kg import KnowledgeGraph, Triple
 from .rules import DEFAULT_MAX_HOP, Rule, RuleInstance, RuleStats, sort_stats
 
 DEFAULT_MIN_SUPPORT = 1000
@@ -56,54 +56,19 @@ def exact_fraction(value) -> Fraction:
 # ----------------------------------------------------------------------
 # two-hop mining
 
-def _closing_relations(kg: KnowledgeGraph, head: int) -> dict[int, list[int]]:
-    """Map tail entity -> relations linking ``head`` directly to that tail."""
-    closers: dict[int, list[int]] = {}
-    for r, t in kg.neighbors(head, FORWARD):
-        closers.setdefault(t, []).append(r)
-    return closers
-
-
-def mine_two_hop_instances(kg: KnowledgeGraph) -> Iterator[RuleInstance]:
-    """Enumerate every two-hop rule instance, deterministically, no dupes.
-
-    Emission order: ascending start entity, then canonical edge order for
-    the first and second body edges, then ascending closing relation.
-    """
-    rule_cache: dict[tuple[int, int, int], Rule] = {}
-    for a in range(kg.num_entities):
-        edges_a = kg.neighbors(a, FORWARD)
-        if not edges_a:
-            continue
-        closers = _closing_relations(kg, a)
-        for r1, b in edges_a:
-            for r2, c in kg.neighbors(b, FORWARD):
-                for r3 in closers.get(c, ()):
-                    key = (r3, r1, r2)
-                    rule = rule_cache.get(key)
-                    if rule is None:
-                        rule = Rule(
-                            kg.relation_name(r3),
-                            (kg.relation_name(r1), kg.relation_name(r2)),
-                        )
-                        rule_cache[key] = rule
-                    yield RuleInstance(
-                        rule=rule,
-                        entities=(a, b, c),
-                        body_facts=(Triple(a, r1, b), Triple(b, r2, c)),
-                        head_fact=Triple(a, r3, c),
-                    )
-
-
 def _count_stripe(kg: KnowledgeGraph, stripe: int, stripes: int) -> dict[tuple[int, int, int], int]:
     counts: dict[tuple[int, int, int], int] = {}
+    out_edges = kg.out_edges
     for a in range(stripe, kg.num_entities, stripes):
-        edges_a = kg.neighbors(a, FORWARD)
+        edges_a = out_edges(a)
         if not edges_a:
             continue
-        closers = _closing_relations(kg, a)
+        # The relations linking ``a`` straight to each tail close a path.
+        closers: dict[int, list[int]] = {}
+        for r, t in edges_a:
+            closers.setdefault(t, []).append(r)
         for r1, b in edges_a:
-            for r2, c in kg.neighbors(b, FORWARD):
+            for r2, c in out_edges(b):
                 for r3 in closers.get(c, ()):
                     key = (r3, r1, r2)
                     counts[key] = counts.get(key, 0) + 1
@@ -179,14 +144,7 @@ def mine_rule_stats(kg: KnowledgeGraph, workers: int = 1) -> list[RuleStats]:
         rule = Rule(
             kg.relation_name(r3), (kg.relation_name(r1), kg.relation_name(r2))
         )
-        stats.append(
-            RuleStats(
-                rule=rule,
-                instance_count=y,
-                body_count=x_counts[(r1, r2)],
-                head_and_body_count=y,
-            )
-        )
+        stats.append(RuleStats(rule=rule, support=y, body_count=x_counts[(r1, r2)]))
     stats.sort(key=lambda st: st.rule.rule_id)
     return stats
 
@@ -220,34 +178,23 @@ def iter_body_groundings(kg: KnowledgeGraph, rule: Rule) -> Iterator[tuple[int, 
         yield from extend((h, t), 1)
 
 
-def ground_rule(
-    kg: KnowledgeGraph, rule: Rule, require_head: bool = True
-) -> Iterator[RuleInstance]:
-    """Stream body groundings as RuleInstance records.
-
-    With ``require_head`` only instances whose head fact is present are
-    produced.  Without it every body grounding is produced and ``head_fact``
-    is set only when the head triple happens to hold.
-    """
-    head_rid = (
-        kg.relation_id(rule.head_relation)
-        if kg.has_relation(rule.head_relation)
-        else None
-    )
+def ground_rule(kg: KnowledgeGraph, rule: Rule) -> Iterator[RuleInstance]:
+    """Stream the rule's instances: the body groundings whose head fact holds."""
+    if not kg.has_relation(rule.head_relation):
+        return
+    head_rid = kg.relation_id(rule.head_relation)
     rel_ids = [
         kg.relation_id(name) if kg.has_relation(name) else None
         for name in rule.body_relations
     ]
     for entities in iter_body_groundings(kg, rule):
-        head_fact = None
-        if head_rid is not None and kg.holds(entities[0], head_rid, entities[-1]):
-            head_fact = Triple(entities[0], head_rid, entities[-1])
-        if require_head and head_fact is None:
-            continue
-        body_facts = tuple(map(Triple, entities, rel_ids, entities[1:]))
-        yield RuleInstance(
-            rule=rule, entities=entities, body_facts=body_facts, head_fact=head_fact
-        )
+        if kg.holds(entities[0], head_rid, entities[-1]):
+            yield RuleInstance(
+                rule=rule,
+                entities=entities,
+                body_facts=tuple(map(Triple, entities, rel_ids, entities[1:])),
+                head_fact=Triple(entities[0], head_rid, entities[-1]),
+            )
 
 
 class ChainCounts:
@@ -311,7 +258,7 @@ def score_rule(
         raise UsageError("chain counts were built for another graph")
     if not all(kg.has_relation(name) for name in rule.body_relations):
         # An absent body relation leaves the rule unscorable.
-        return RuleStats(rule=rule, instance_count=0, body_count=0, head_and_body_count=0)
+        return RuleStats(rule=rule, support=0, body_count=0)
     frontiers = chains.frontiers(
         [kg.relation_id(name) for name in rule.body_relations]
     )
@@ -322,7 +269,7 @@ def score_rule(
         for a, ends in frontiers.items():
             for c in kg.tails(a, head_rid):
                 y += ends.get(c, 0)
-    return RuleStats(rule=rule, instance_count=y, body_count=x, head_and_body_count=y)
+    return RuleStats(rule=rule, support=y, body_count=x)
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,10 @@ and always form the canonical sequence X, Z1, Z2, ..., Y.
 The canonical textual encoding doubles as the rule id and as the sort tie
 breaker everywhere ordered rule lists are produced.  It is built once per
 rule, straight from the relation names and ``chain_vars``, and cached on the
-frozen ``Rule``; the rules file writes its atoms the same way.  Relation
-names may not contain ``(``, ``)``, ``,`` or ``&``, the encoding's
-delimiters, so the encoding is injective: two rules share an id exactly when
-they share their head relation and body relation sequence.
+frozen ``Rule``; the rules file and ``formula`` write their atoms the same
+way.  Relation names may not contain ``(``, ``)``, ``,`` or ``&``, the
+encoding's delimiters, so the encoding is injective: two rules share an id
+exactly when they share their head relation and body relation sequence.
 """
 
 from __future__ import annotations
@@ -43,18 +43,6 @@ def chain_vars(hop: int) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class Atom:
-    """A relation applied to two variables."""
-
-    relation: str
-    subject: str
-    object: str
-
-    def encode(self) -> str:
-        return f"{self.relation}({self.subject},{self.object})"
-
-
-@dataclass(frozen=True)
 class Rule:
     """A chain rule, identified by head relation and body relation sequence."""
 
@@ -73,22 +61,6 @@ class Rule:
     def hop(self) -> int:
         return len(self.body_relations)
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return chain_vars(self.hop)
-
-    @property
-    def head_atom(self) -> Atom:
-        return Atom(self.head_relation, VAR_X, VAR_Y)
-
-    @property
-    def body_atoms(self) -> tuple[Atom, ...]:
-        names = self.variables
-        return tuple(
-            Atom(rel, names[i], names[i + 1])
-            for i, rel in enumerate(self.body_relations)
-        )
-
     @cached_property
     def rule_id(self) -> str:
         """Compact canonical encoding, stable across runs on the same data."""
@@ -101,11 +73,12 @@ class Rule:
 
     def formula(self) -> str:
         """Readable rendering used inside generated reasoning text."""
+        names = chain_vars(len(self.body_relations))
         body = " & ".join(
-            f"{a.relation}({a.subject}, {a.object})" for a in self.body_atoms
+            f"{rel}({a}, {b})"
+            for rel, a, b in zip(self.body_relations, names, names[1:])
         )
-        head = self.head_atom
-        return f"{head.relation}({head.subject}, {head.object}) <- {body}"
+        return f"{self.head_relation}({VAR_X}, {VAR_Y}) <- {body}"
 
     @classmethod
     def decode(cls, rule_id: str) -> "Rule":
@@ -132,26 +105,20 @@ class RuleStats:
     """A rule together with its grounding counts on one graph.
 
     ``body_count`` is the number of distinct full variable bindings that
-    satisfy the body chain.  ``head_and_body_count`` is the subset of those
-    whose head fact also holds; it equals ``instance_count`` because an
-    instance is exactly a body grounding whose head fact is present.
+    satisfy the body chain.  ``support`` is the part of those whose head
+    fact also holds, so it is also the number of the rule's instances.
     """
 
     rule: Rule
-    instance_count: int
+    support: int
     body_count: int
-    head_and_body_count: int
 
     @cached_property
     def confidence(self) -> Optional[Fraction]:
         """Exact confidence, or None when the rule is unscorable (no bodies)."""
         if self.body_count == 0:
             return None
-        return Fraction(self.head_and_body_count, self.body_count)
-
-    @property
-    def support(self) -> int:
-        return self.instance_count
+        return Fraction(self.support, self.body_count)
 
 
 @dataclass(frozen=True)
@@ -167,10 +134,6 @@ class RuleInstance:
     entities: tuple[int, ...]
     body_facts: tuple[Triple, ...]
     head_fact: Optional[Triple]
-
-    @property
-    def bindings(self) -> dict[str, int]:
-        return dict(zip(self.rule.variables, self.entities))
 
     @property
     def subject(self) -> int:
@@ -242,9 +205,8 @@ def read_rules(path: str | Path) -> list[RuleStats]:
                 )
                 stats = RuleStats(
                     rule=rule,
-                    instance_count=int(record["support"]),
+                    support=int(record["support"]),
                     body_count=int(record["body_count"]),
-                    head_and_body_count=int(record["support"]),
                 )
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise DataError(f"{path}: bad rule record on line {line_no}") from exc

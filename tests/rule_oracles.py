@@ -2,10 +2,11 @@
 
 These are the forms the fast paths in `kgreason.rules` and
 `kgreason.mining` replaced: the rule encoding and the rules file written
-from `Atom` objects, and composition that tries every ordered pair of rules
-with `compose_rules` and deduplicates by `rule_id`.  They build far more
-objects than they keep, but their behaviour is the definition the fast
-paths must reproduce exactly.
+atom by atom, with the variables numbered here rather than by
+`kgreason.rules.chain_vars`, and composition that tries every ordered pair
+of rules with `compose_rules` and deduplicates by `rule_id`.  They build
+far more objects than they keep, but their behaviour is the definition the
+fast paths must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -18,10 +19,19 @@ from kgreason.mining import compose_rules
 from kgreason.rules import DEFAULT_MAX_HOP, Rule, RuleStats
 
 
+def body_atoms(rule: Rule) -> list[tuple[str, str, str]]:
+    """(relation, subject, object) per body atom, chained X, Z1, ..., Y."""
+    hop = len(rule.body_relations)
+    names = ["X"] + [f"Z{i}" for i in range(1, hop)] + ["Y"]
+    return [
+        (rel, names[i], names[i + 1]) for i, rel in enumerate(rule.body_relations)
+    ]
+
+
 def atom_rule_id(rule: Rule) -> str:
-    """The canonical encoding, one `Atom.encode` per atom."""
-    body = "&".join(a.encode() for a in rule.body_atoms)
-    return f"{rule.head_atom.encode()}<-{body}"
+    """The canonical encoding, one ``relation(subject,object)`` per atom."""
+    body = "&".join(f"{rel}({s},{o})" for rel, s, o in body_atoms(rule))
+    return f"{rule.head_relation}(X,Y)<-{body}"
 
 
 def write_rules_by_atoms(path: str | Path, stats: Iterable[RuleStats]) -> int:
@@ -32,13 +42,10 @@ def write_rules_by_atoms(path: str | Path, stats: Iterable[RuleStats]) -> int:
             conf = st.confidence
             record = {
                 "rule": atom_rule_id(st.rule),
-                "head": {
-                    "relation": st.rule.head_relation,
-                    "vars": list((st.rule.head_atom.subject, st.rule.head_atom.object)),
-                },
+                "head": {"relation": st.rule.head_relation, "vars": ["X", "Y"]},
                 "body": [
-                    {"relation": a.relation, "vars": [a.subject, a.object]}
-                    for a in st.rule.body_atoms
+                    {"relation": rel, "vars": [s, o]}
+                    for rel, s, o in body_atoms(st.rule)
                 ],
                 "hop": st.rule.hop,
                 "support": st.support,

@@ -141,10 +141,10 @@ def test_criterion_1_mining_matches_bruteforce(capsys):
 
 
 def test_criterion_2_threshold_boundary(capsys):
-    at_boundary = RuleStats(Rule("r0", ("r1", "r2")), 3, 5, 3)
-    just_above = RuleStats(Rule("r0", ("r1", "r3")), 61, 100, 61)
-    rescaled_boundary = RuleStats(Rule("r0", ("r1", "r4")), 60, 100, 60)
-    low_support = RuleStats(Rule("r0", ("r1", "r5")), 1, 1, 1)
+    at_boundary = RuleStats(Rule("r0", ("r1", "r2")), 3, 5)
+    just_above = RuleStats(Rule("r0", ("r1", "r3")), 61, 100)
+    rescaled_boundary = RuleStats(Rule("r0", ("r1", "r4")), 60, 100)
+    low_support = RuleStats(Rule("r0", ("r1", "r5")), 1, 1)
     kept = filter_stats(
         [at_boundary, just_above, rescaled_boundary, low_support],
         min_support=2,
@@ -208,7 +208,7 @@ def test_criterion_3_composition_matches_joint_enumeration(capsys):
             )
             if (
                 scored.body_count != body_count
-                or scored.head_and_body_count != closed
+                or scored.support != closed
             ):
                 problems.append(f"{label}: score differs for {rule.rule_id}")
             composed_checked += 1
@@ -303,7 +303,7 @@ def test_criterion_5_explore_soundness(capsys):
     flipped: list[tuple[str, int, str]] = []
     for st in library:
         for inst in ground_rule(kg, st.rule):
-            side = select_query_side(kg, inst.rule.head_atom, inst.bindings)
+            side = select_query_side(kg, inst)
             if side == QUERY_SKIP:
                 continue
             known, _asked = query_entities(inst, side)

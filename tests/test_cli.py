@@ -161,7 +161,7 @@ class TestRegularSetting:
         rule = Rule("citizen_of", ("part_of", "from_country"))
         write_rules(
             run / "rules.tsv",
-            [RuleStats(rule, instance_count=1, body_count=1, head_and_body_count=1)],
+            [RuleStats(rule, support=1, body_count=1)],
         )
         run_cli(run, "ingest", "--triples", "triples.tsv", "--store", "store.json")
         return run
@@ -288,7 +288,66 @@ class TestConfigFile:
         assert manifest["stages"][stage]["config"][key] == value
 
 
+    def test_unknown_config_key_is_usage_error(self, pipeline_dir, tmp_path):
+        (tmp_path / "mine.cfg").write_text("min-suport=3\n", encoding="utf-8")
+        proc = run_cli(
+            tmp_path, "mine", "--config", "mine.cfg",
+            "--store", str(pipeline_dir / "store.json"), "--out", "out",
+            check=False,
+        )
+        assert proc.returncode == 1
+        assert "usage error" in proc.stderr and "min_suport" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_other_stage_config_key_control(self, pipeline_dir, tmp_path):
+        """One file may serve several stages: mine skips select's key."""
+        manifests = []
+        for name, config in (("with", "per_rule=4\n"), ("without", "")):
+            run = tmp_path / name
+            run.mkdir()
+            (run / "mine.cfg").write_text(config, encoding="utf-8")
+            run_cli(
+                run, "mine", "--config", "mine.cfg",
+                "--store", str(pipeline_dir / "store.json"), "--out", "out",
+            )
+            manifests.append((run / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+
+
 class TestExitCodes:
+    # Valid arguments over the session pipeline, so that only --seed can fail.
+    UNSEEDED_ARGS = {
+        "ingest": ["--triples", "{d}/triples.tsv", "--store", "out"],
+        "mine": ["--store", "{d}/store.json", "--out", "out"],
+        "compose": [
+            "--store", "{d}/store.json", "--rules", "{d}/rules.tsv", "--out", "out",
+        ],
+        "stats": ["--store", "{d}/store.json"],
+        "evaluate": [
+            "--store", "{d}/store.json", "--library", "{d}/library.tsv",
+            "--splits", "{d}/splits.json", "--samples", "{d}/samples.jsonl",
+            "{d}/trial_samples.jsonl", "--predictions", "{d}/preds.jsonl",
+            "--map", "{d}/trial_map.tsv", "--report", "out",
+        ],
+    }
+
+    @pytest.mark.parametrize("stage", sorted(UNSEEDED_ARGS))
+    def test_seed_is_usage_error_where_unread(self, pipeline_dir, tmp_path, stage):
+        args = [arg.format(d=pipeline_dir) for arg in self.UNSEEDED_ARGS[stage]]
+        proc = run_cli(tmp_path, stage, *args, "--seed", "5", check=False)
+        assert proc.returncode == 1
+        assert "usage error" in proc.stderr and "--seed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_seed_accepted_where_read_control(self, tmp_path):
+        run_cli(tmp_path, "synth", "--out", "out", "--triples", "50", "--seed", "5")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["stages"]["synth"]["config"]["seed"] == "5"
+
     def test_missing_required_options(self, tmp_path):
         proc = run_cli(tmp_path, "mine", check=False)
         assert proc.returncode == 1
@@ -385,7 +444,7 @@ class TestExitCodes:
         write_rules(
             tmp_path / "rules.tsv",
             [
-                RuleStats(rule, instance_count=1, body_count=1, head_and_body_count=1)
+                RuleStats(rule, support=1, body_count=1)
                 for rule in (
                     Rule("r0", ("r1",)),
                     Rule("r1", ("r2", "r3")),

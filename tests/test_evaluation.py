@@ -80,9 +80,7 @@ def fixture_templates() -> TemplateLibrary:
 
 
 def stats_for(rule: Rule, num: int, den: int) -> RuleStats:
-    return RuleStats(
-        rule, instance_count=num, body_count=den, head_and_body_count=num
-    )
+    return RuleStats(rule, support=num, body_count=den)
 
 
 def sample(sid: str, rule: Rule, golden: str, hop: int = 2) -> ReasoningSample:

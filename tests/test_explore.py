@@ -70,9 +70,7 @@ def citizen_kg():
 
 
 def stats_for(rule: Rule, num: int, den: int) -> RuleStats:
-    return RuleStats(
-        rule, instance_count=num, body_count=den, head_and_body_count=num
-    )
+    return RuleStats(rule, support=num, body_count=den)
 
 
 class TestKgFactOracle:
@@ -192,9 +190,7 @@ class TestOrderCandidates:
         assert order_candidates(lib, "citizen_of") == [first, second]
 
     def test_unscorable_rules_sort_last(self):
-        no_bodies = RuleStats(
-            RULE_STALL, instance_count=0, body_count=0, head_and_body_count=0
-        )
+        no_bodies = RuleStats(RULE_STALL, support=0, body_count=0)
         lib = [no_bodies, stats_for(RULE_GOOD, 1, 100)]
         assert order_candidates(lib, "citizen_of") == [RULE_GOOD, RULE_STALL]
 

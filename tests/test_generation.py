@@ -46,7 +46,7 @@ def citizen_instance():
 class TestQuerySide:
     def test_both_unique_defaults_to_object(self):
         kg, inst = citizen_instance()
-        assert select_query_side(kg, inst.rule.head_atom, inst.bindings) == (
+        assert select_query_side(kg, inst) == (
             SIDE_OBJECT
         )
 
@@ -57,7 +57,7 @@ class TestQuerySide:
         (inst, _) = sorted(
             ground_rule(kg, CITIZEN_RULE), key=lambda i: i.entities
         ) + [None]
-        side = select_query_side(kg, inst.rule.head_atom, inst.bindings)
+        side = select_query_side(kg, inst)
         assert side == SIDE_SUBJECT
 
     def test_ambiguous_both_sides_skips(self):
@@ -74,7 +74,7 @@ class TestQuerySide:
             if kg.entity_name(i.entities[0]) == "anykid"
         ]
         inst = matches[0]
-        assert select_query_side(kg, inst.rule.head_atom, inst.bindings) == (
+        assert select_query_side(kg, inst) == (
             QUERY_SKIP
         )
 

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kg_from, random_triples
-from kgreason.errors import DataError, IngestError, UnknownSymbolError, UsageError
-from kgreason.kg import FORWARD, INVERSE, KnowledgeGraph, Triple
+from kgreason.errors import DataError, IngestError, UnknownSymbolError
+from kgreason.kg import KnowledgeGraph, Triple
 
 
 def ids(kg, *names):
@@ -76,20 +76,11 @@ class TestQueries:
         a, b, c = ids(example_kg, "a", "b", "c")
         r1, r2 = example_kg.relation_id("r1"), example_kg.relation_id("r2")
         # Canonical order is ascending relation id then entity id.
-        assert example_kg.neighbors(a, FORWARD) == [(r1, c), (r2, b)]
+        assert list(example_kg.out_edges(a)) == [(r1, c), (r2, b)]
 
     def test_neighbors_no_out_edges(self, example_kg):
         (c,) = ids(example_kg, "c")
-        assert example_kg.neighbors(c, FORWARD) == []
-
-    def test_neighbors_inverse(self, example_kg):
-        a, b, c = ids(example_kg, "a", "b", "c")
-        r1, r3 = example_kg.relation_id("r1"), example_kg.relation_id("r3")
-        assert example_kg.neighbors(c, INVERSE) == [(r1, a), (r3, b)]
-
-    def test_neighbors_bad_direction(self, example_kg):
-        with pytest.raises(UsageError):
-            example_kg.neighbors(0, "sideways")
+        assert list(example_kg.out_edges(c)) == []
 
     def test_successors_predecessors(self, example_kg):
         a, b = ids(example_kg, "a", "b")
@@ -116,8 +107,9 @@ class TestOrderIndependence:
         kg2 = kg_from(shuffled)
         assert list(kg1.triples()) == list(kg2.triples())
         for e in range(kg1.num_entities):
-            assert kg1.neighbors(e, FORWARD) == kg2.neighbors(e, FORWARD)
-            assert kg1.neighbors(e, INVERSE) == kg2.neighbors(e, INVERSE)
+            assert kg1.out_edges(e) == kg2.out_edges(e)
+            for r in range(kg1.num_relations):
+                assert kg1.heads(e, r) == kg2.heads(e, r)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**30))
@@ -125,10 +117,11 @@ class TestOrderIndependence:
         rng = random.Random(seed)
         kg = kg_from(random_triples(rng, 10, 3, 25))
         for x in range(kg.num_entities):
-            for r, y in kg.neighbors(x, FORWARD):
-                assert (r, x) in kg.neighbors(y, INVERSE)
-            for r, y in kg.neighbors(x, INVERSE):
-                assert (r, x) in kg.neighbors(y, FORWARD)
+            for r, y in kg.out_edges(x):
+                assert x in kg.heads(y, r)
+            for r in range(kg.num_relations):
+                for h in kg.heads(x, r):
+                    assert (r, x) in kg.out_edges(h)
 
 
 class TestPersistence:
@@ -207,7 +200,7 @@ class TestPersistence:
         )
         kg = KnowledgeGraph.load(path)
         assert kg.entity_names() == ["a", "b", "c"]
-        assert kg.neighbors(1, FORWARD) == []
+        assert list(kg.out_edges(1)) == []
         assert kg.successors(0, 0) == [2]
 
 
@@ -301,9 +294,7 @@ def assert_matches_oracle(kg, facts):
     for e in entities:
         eid = kg.entity_id(e)
         out = sorted((r, t) for h, r, t in facts if h == e)
-        inc = sorted((r, h) for h, r, t in facts if t == e)
-        assert [(rel(r), ent(t)) for r, t in kg.neighbors(eid, FORWARD)] == out
-        assert [(rel(r), ent(h)) for r, h in kg.neighbors(eid, INVERSE)] == inc
+        assert [(rel(r), ent(t)) for r, t in kg.out_edges(eid)] == out
         for r in relations:
             rid = kg.relation_id(r)
             tails = sorted(t for h, rr, t in facts if h == e and rr == r)

@@ -21,46 +21,53 @@ from kgreason.mining import (
     ground_rule,
     iter_body_groundings,
     mine_rule_stats,
-    mine_two_hop_instances,
     score_rule,
 )
 from kgreason.rules import Rule, RuleStats
 from rule_oracles import compose_library_pairwise
 
 
-def name_instances(kg, instances):
-    return {
-        (inst.rule.rule_id, tuple(kg.entity_name(e) for e in inst.entities))
-        for inst in instances
-    }
+def mined_instances(kg):
+    """Map each mined rule id to the named entities of the instances
+    ``ground_rule`` finds for it, whose number must be the mined support."""
+    found = {}
+    for stats in mine_rule_stats(kg):
+        instances = [
+            tuple(kg.entity_name(e) for e in inst.entities)
+            for inst in ground_rule(kg, stats.rule)
+        ]
+        assert len(instances) == stats.support
+        found[stats.rule.rule_id] = instances
+    return found
 
 
 class TestTwoHopInstances:
     def test_single_closing_path(self, example_kg):
-        found = name_instances(example_kg, mine_two_hop_instances(example_kg))
-        assert found == {("r1(X,Y)<-r2(X,Z1)&r3(Z1,Y)", ("a", "b", "c"))}
+        found = mined_instances(example_kg)
+        assert found == {"r1(X,Y)<-r2(X,Z1)&r3(Z1,Y)": [("a", "b", "c")]}
 
     def test_no_closed_path_empty(self):
         kg = kg_from([("a", "r1", "b"), ("b", "r2", "c")])
-        assert list(mine_two_hop_instances(kg)) == []
+        assert mine_rule_stats(kg) == []
 
     def test_self_loop_closure(self):
         kg = kg_from([("a", "r", "a")])
-        found = name_instances(kg, mine_two_hop_instances(kg))
-        assert found == {("r(X,Y)<-r(X,Z1)&r(Z1,Y)", ("a", "a", "a"))}
+        found = mined_instances(kg)
+        assert found == {"r(X,Y)<-r(X,Z1)&r(Z1,Y)": [("a", "a", "a")]}
 
     def test_no_duplicates_and_deterministic(self, score_kg):
-        first = list(mine_two_hop_instances(score_kg))
-        second = list(mine_two_hop_instances(score_kg))
-        assert first == second
-        assert len(first) == len(set(first))
+        first = mined_instances(score_kg)
+        assert first == mined_instances(score_kg)
+        assert mine_rule_stats(score_kg) == mine_rule_stats(score_kg)
+        for instances in first.values():
+            assert len(instances) == len(set(instances))
 
 
 class TestScoring:
     def test_known_counts(self, score_kg):
         stats = score_rule(score_kg, Rule("r1", ("r2", "r3")))
         assert stats.body_count == 2
-        assert stats.head_and_body_count == 1
+        assert stats.support == 1
         assert stats.confidence == Fraction(1, 2)
 
     def test_full_closure_confidence_one(self, example_kg):
@@ -73,9 +80,10 @@ class TestScoring:
         assert stats.confidence is None
 
     def test_ground_rule_head_toggle(self, score_kg):
+        # Of the two body groundings only (a, b, c) has its head fact.
         rule = Rule("r1", ("r2", "r3"))
-        assert len(list(ground_rule(score_kg, rule, require_head=True))) == 1
-        assert len(list(ground_rule(score_kg, rule, require_head=False))) == 2
+        assert len(list(iter_body_groundings(score_kg, rule))) == 2
+        assert len(list(ground_rule(score_kg, rule))) == 1
 
     def test_grounded_instances_verify_facts(self, score_kg):
         for inst in ground_rule(score_kg, Rule("r1", ("r2", "r3"))):
@@ -112,7 +120,7 @@ class TestBruteForceAgreement:
         body = tuple(rng.choice(["r0", "r1", "r2"]) for _ in range(3))
         x, y = brute_rule_score(triples, "r0", body)
         stats = score_rule(kg, Rule("r0", body))
-        assert (stats.body_count, stats.head_and_body_count) == (x, y)
+        assert (stats.body_count, stats.support) == (x, y)
 
 
 def shared_prefix_rules(rng, relations, count):
@@ -148,8 +156,7 @@ class TestChainCounts:
         for rule in shared_prefix_rules(rng, ["r0", "r1", "r2"], 25):
             stats = score_rule(kg, rule, chains)
             x, y = brute_rule_score(triples, rule.head_relation, rule.body_relations)
-            assert (stats.body_count, stats.head_and_body_count) == (x, y), rule.rule_id
-            assert stats.instance_count == y
+            assert (stats.body_count, stats.support) == (x, y), rule.rule_id
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**30))
@@ -176,7 +183,7 @@ class TestWorkers:
 
 class TestFiltering:
     def make(self, head, support, body):
-        return RuleStats(Rule(head, ("p", "q")), support, body, support)
+        return RuleStats(Rule(head, ("p", "q")), support, body)
 
     def test_exact_fraction_parses_decimal_exactly(self):
         assert exact_fraction("0.6") == Fraction(3, 5)

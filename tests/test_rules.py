@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from kgreason.errors import DataError
 from kgreason.kg import RESERVED_RELATION_CHARS
 from kgreason.rules import (
-    Atom,
     Rule,
     RuleStats,
     chain_vars,
@@ -51,13 +50,14 @@ class TestRuleShape:
         assert rule.rule_id == "r1(X,Y)<-r2(X,Z1)&r3(Z1,Y)"
         assert rule.formula() == "r1(X, Y) <- r2(X, Z1) & r3(Z1, Y)"
 
-    def test_head_and_body_atoms(self):
-        rule = Rule("h", ("a", "b", "c"))
-        assert rule.head_atom == Atom("h", "X", "Y")
-        assert rule.body_atoms == (
-            Atom("a", "X", "Z1"),
-            Atom("b", "Z1", "Z2"),
-            Atom("c", "Z2", "Y"),
+    def test_formula_atoms(self):
+        assert Rule("h", ("a",)).formula() == "h(X, Y) <- a(X, Y)"
+        assert Rule("h", ("a", "b")).formula() == "h(X, Y) <- a(X, Z1) & b(Z1, Y)"
+        assert Rule("h", ("a", "b", "c")).formula() == (
+            "h(X, Y) <- a(X, Z1) & b(Z1, Z2) & c(Z2, Y)"
+        )
+        assert Rule("h", ("a", "b", "c", "d")).formula() == (
+            "h(X, Y) <- a(X, Z1) & b(Z1, Z2) & c(Z2, Z3) & d(Z3, Y)"
         )
 
     def test_decode_round_trip(self):
@@ -79,19 +79,19 @@ class TestRuleShape:
 
 class TestRuleStats:
     def test_confidence_exact_fraction(self):
-        stats = RuleStats(Rule("r1", ("r2", "r3")), 1, 2, 1)
+        stats = RuleStats(Rule("r1", ("r2", "r3")), 1, 2)
         assert stats.confidence == Fraction(1, 2)
         assert stats.support == 1
 
     def test_unscorable_when_no_groundings(self):
-        stats = RuleStats(Rule("r1", ("r2", "r3")), 0, 0, 0)
+        stats = RuleStats(Rule("r1", ("r2", "r3")), 0, 0)
         assert stats.confidence is None
 
     def test_sort_descending_confidence_then_encoding(self):
-        a = RuleStats(Rule("b", ("p", "q")), 3, 4, 3)   # 0.75
-        b = RuleStats(Rule("a", ("p", "q")), 1, 2, 1)   # 0.5
-        c = RuleStats(Rule("a", ("p", "r")), 2, 4, 2)   # 0.5, later encoding
-        d = RuleStats(Rule("z", ("p", "q")), 0, 0, 0)   # unscorable last
+        a = RuleStats(Rule("b", ("p", "q")), 3, 4)   # 0.75
+        b = RuleStats(Rule("a", ("p", "q")), 1, 2)   # 0.5
+        c = RuleStats(Rule("a", ("p", "r")), 2, 4)   # 0.5, later encoding
+        d = RuleStats(Rule("z", ("p", "q")), 0, 0)   # unscorable last
         assert sort_stats([d, c, b, a]) == [a, b, c, d]
 
 
@@ -99,8 +99,8 @@ class TestRulesFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "rules.jsonl"
         stats = [
-            RuleStats(Rule("r1", ("r2", "r3")), 5, 8, 5),
-            RuleStats(Rule("h", ("a", "b", "c")), 2, 3, 2),
+            RuleStats(Rule("r1", ("r2", "r3")), 5, 8),
+            RuleStats(Rule("h", ("a", "b", "c")), 2, 3),
         ]
         assert write_rules(path, stats) == 2
         loaded = read_rules(path)
@@ -112,7 +112,7 @@ class TestRulesFile:
         # The file stores a float rendering for humans, but reloading must
         # restore the exact ratio from the integer counters.
         path = tmp_path / "rules.jsonl"
-        write_rules(path, [RuleStats(Rule("r1", ("r2", "r3")), 1, 3, 1)])
+        write_rules(path, [RuleStats(Rule("r1", ("r2", "r3")), 1, 3)])
         (loaded,) = read_rules(path)
         assert loaded.confidence == Fraction(1, 3)
 
@@ -158,7 +158,7 @@ class TestReservedNames:
 
 
 class TestFastPathOracles:
-    """The encoding and the writer match their Atom-based originals."""
+    """The encoding and the writer match their atom-by-atom originals."""
 
     @settings(max_examples=200, deadline=None)
     @given(free_rules)
@@ -180,7 +180,7 @@ class TestFastPathOracles:
     )
     def test_write_rules_bytes_equal_atom_writer(self, tmp_path_factory, rows):
         stats = [
-            RuleStats(rule, min(y, x), x, min(y, x)) for rule, y, x in rows
+            RuleStats(rule, min(y, x), x) for rule, y, x in rows
         ]
         d = tmp_path_factory.mktemp("rules")
         assert write_rules(d / "fast.jsonl", stats) == len(stats)
