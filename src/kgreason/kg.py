@@ -296,6 +296,10 @@ class KnowledgeGraph:
             self._out = out
         return self._out.get(eid, ())
 
+    def max_out_degree(self) -> int:
+        """The most tails any entity has under one relation."""
+        return max(map(len, self._succ.values()), default=0)
+
     def holds(self, head: int, rid: int, tail: int) -> bool:
         return (head * self._n_relations + rid) * self._n_entities + tail in self._facts
 

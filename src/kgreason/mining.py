@@ -9,15 +9,18 @@ Scoring counts distinct full variable bindings.  ``body_count`` (x) is the
 number of bindings satisfying the body chain alone, ``support`` (y) the
 part of them whose head fact also holds, and confidence is the exact
 rational y/x.  Chains of any length are scored without listing their
-bindings: ``ChainCounts`` carries, for each start entity, a map from end
-entity to the number of body paths reaching it, one relation at a time.
-x is the sum of those path counts and y the part of it over the ends the
-head relation links the start to.  The work therefore follows the distinct
-(start, end) pairs per prefix, not the path count, which grows
-exponentially with hop, and bodies that share a prefix share its
-propagation.  Thresholds are interpreted as exact decimals so that the
-strict comparison at a boundary such as 0.6 behaves the way the printed
-number reads, not the way its nearest binary float rounds.
+bindings: ``ChainCounts`` propagates, one relation at a time, the number
+of body paths from each start entity to each end, with the counts of 64
+consecutive start ids packed into the lanes of one int.  x is the sum of
+all lanes and y the sum of the lanes whose start the head relation links
+to that end.  The lane width comes from a bound on a block's path count
+that is read off the graph before counting, so no lane overflows and the
+counts are exact.  The work follows the distinct (block, end) pairs per
+prefix, not the path count, which grows exponentially with hop, and
+bodies that share a prefix share its propagation.  Thresholds are
+interpreted as exact decimals so that the strict comparison at a boundary
+such as 0.6 behaves the way the printed number reads, not the way its
+nearest binary float rounds.
 
 Composition splices two-hop rules into each other as ``(head, body)``
 relation tuples and builds a ``Rule`` only for each distinct candidate, so
@@ -35,6 +38,10 @@ from .rules import DEFAULT_MAX_HOP, Rule, RuleInstance, RuleStats, sort_stats
 
 DEFAULT_MIN_SUPPORT = 1000
 DEFAULT_MIN_CONFIDENCE = "0.6"
+
+# Start entities per packed block in ``ChainCounts``.  Any block size gives
+# the same counts; 1 is one plain count per start.
+_LANES = 64
 
 
 def exact_fraction(value) -> Fraction:
@@ -94,6 +101,9 @@ def _mine_counts(kg: KnowledgeGraph, workers: int) -> dict[tuple[int, int, int],
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         return _count_stripe(kg, 0, 1)
+    # Build the lazy edge map before the fork, so that the workers inherit
+    # it rather than each building its own.
+    kg.out_edges(0)
     _WORKER_KG = kg
     try:
         # Fork after setting the module global so children inherit the graph
@@ -198,24 +208,66 @@ def ground_rule(kg: KnowledgeGraph, rule: Rule) -> Iterator[RuleInstance]:
 
 
 class ChainCounts:
-    """Body path counts per start entity, sharing prefixes between bodies.
+    """Body path counts for 64 start entities to an int, sharing prefixes
+    between bodies.
 
-    ``frontiers(rels)`` maps each start entity ``a`` to ``{end: n}``, where
-    ``n`` is the number of paths from ``a`` to ``end`` along the relation
-    ids ``rels``.  Each level is propagated from the one before it, so the
-    work grows with the number of distinct (start, end) pairs rather than
-    with the number of paths.  The frontiers of the last body's prefixes
-    stay on a stack of one level per relation: a body that shares its first
-    k relations with the previous body only propagates the rest, so scoring
-    bodies in sorted order reuses the most.
+    A level maps ``block`` to ``{end: packed}``.  Lane ``j`` of ``packed``,
+    ``width`` bits wide, holds the number of paths from start
+    ``64·block + j`` to ``end`` along the body's relations so far.  A level
+    is propagated from the one before it as per-start counts would be,
+    ``nxt[c] += packed`` for each tail ``c`` of ``end``, so one big-int
+    addition moves up to 64 starts at once and no lane is read alone.  The
+    body count of a block is the sum of its lanes over all ends, and its
+    support the same sum after each end's column is ANDed with a mask whose
+    lanes are all ones exactly for the starts that the head relation links
+    to that end.  The masks are built once per head relation.
+
+    The counts are exact.  No start has more than ``D**hop`` paths of
+    ``hop`` relations, where ``D`` is the graph's largest out-degree under
+    one relation, so no block has more than ``64·D**hop``.  ``width`` puts
+    that bound below ``2**width - 1``, so no lane sum carries into its
+    neighbour, and as ``2**width`` is 1 modulo ``2**width - 1``, the
+    remainder of a packed sum is the exact sum of its lanes.  The bound
+    grows with hop: a body longer than any seen so far widens the lanes and
+    drops every level and mask built at the old width.
+
+    The levels of the last body's prefixes stay on a stack, one per
+    relation: a body that shares its first k relations with the previous
+    body only propagates the rest, so scoring bodies in sorted order reuses
+    the most.
     """
 
     def __init__(self, kg: KnowledgeGraph):
         self.kg = kg
+        self._degree = kg.max_out_degree()
+        self._hop = 0
+        self._width = 0
         self._rels: list[int] = []
         self._levels: list[dict[int, dict[int, int]]] = []
+        self._masks: dict[int, dict[int, dict[int, int]]] = {}
 
-    def frontiers(self, rels: Sequence[int]) -> dict[int, dict[int, int]]:
+    def count(self, rels: Sequence[int], head: Optional[int]) -> tuple[int, int]:
+        """``(body_count, support)`` of the body chain ``rels`` under the head
+        relation ``head``; a ``head`` of None has no support."""
+        if len(rels) > self._hop:
+            self._hop = len(rels)
+            self._width = (_LANES * self._degree**self._hop + 1).bit_length()
+            self._rels.clear()
+            self._levels.clear()
+            self._masks.clear()
+        level = self._level(rels)
+        lanes = (1 << self._width) - 1
+        x = sum(sum(ends.values()) % lanes for ends in level.values())
+        y = 0
+        if head is not None:
+            masks = self._head_masks(head)
+            for block, ends in level.items():
+                row = masks.get(block)
+                if row:
+                    y += sum(ends.get(c, 0) & m for c, m in row.items()) % lanes
+        return x, y
+
+    def _level(self, rels: Sequence[int]) -> dict[int, dict[int, int]]:
         keep = 0
         shared = min(len(rels), len(self._rels))
         while keep < shared and rels[keep] == self._rels[keep]:
@@ -224,22 +276,35 @@ class ChainCounts:
         del self._levels[keep:]
         kg = self.kg
         for rid in rels[keep:]:
+            level: dict[int, dict[int, int]] = {}
             if self._levels:
-                level: dict[int, dict[int, int]] = {}
-                for a, ends in self._levels[-1].items():
+                for block, ends in self._levels[-1].items():
                     nxt: dict[int, int] = {}
-                    for b, n in ends.items():
+                    for b, v in ends.items():
                         for c in kg.tails(b, rid):
-                            nxt[c] = nxt.get(c, 0) + n
+                            nxt[c] = nxt.get(c, 0) + v
                     if nxt:
-                        level[a] = nxt
+                        level[block] = nxt
             else:
-                level = {}
                 for h, t in kg.relation_pairs(rid):
-                    level.setdefault(h, {})[t] = 1
+                    block, lane = divmod(h, _LANES)
+                    row = level.setdefault(block, {})
+                    row[t] = row.get(t, 0) | 1 << (self._width * lane)
             self._rels.append(rid)
             self._levels.append(level)
         return self._levels[-1]
+
+    def _head_masks(self, head: int) -> dict[int, dict[int, int]]:
+        masks = self._masks.get(head)
+        if masks is None:
+            ones = (1 << self._width) - 1
+            masks = {}
+            for h, t in self.kg.relation_pairs(head):
+                block, lane = divmod(h, _LANES)
+                row = masks.setdefault(block, {})
+                row[t] = row.get(t, 0) | ones << (self._width * lane)
+            self._masks[head] = masks
+        return masks
 
 
 def score_rule(
@@ -247,10 +312,9 @@ def score_rule(
 ) -> RuleStats:
     """Count body groundings and head-satisfying groundings for one rule.
 
-    ``body_count`` is the sum of the body path counts over all (start, end)
-    pairs, and the support is the part of that sum whose head fact holds.
-    Pass one ``chains`` for many rules on the same graph to share the
-    propagation of common body prefixes.
+    ``body_count`` is the number of body paths, and the support is the part
+    of them whose head fact holds.  Pass one ``chains`` for many rules on
+    the same graph to share the propagation of common body prefixes.
     """
     if chains is None:
         chains = ChainCounts(kg)
@@ -259,16 +323,12 @@ def score_rule(
     if not all(kg.has_relation(name) for name in rule.body_relations):
         # An absent body relation leaves the rule unscorable.
         return RuleStats(rule=rule, support=0, body_count=0)
-    frontiers = chains.frontiers(
-        [kg.relation_id(name) for name in rule.body_relations]
+    head = (
+        kg.relation_id(rule.head_relation)
+        if kg.has_relation(rule.head_relation)
+        else None
     )
-    x = sum(sum(ends.values()) for ends in frontiers.values())
-    y = 0
-    if kg.has_relation(rule.head_relation):
-        head_rid = kg.relation_id(rule.head_relation)
-        for a, ends in frontiers.items():
-            for c in kg.tails(a, head_rid):
-                y += ends.get(c, 0)
+    x, y = chains.count([kg.relation_id(name) for name in rule.body_relations], head)
     return RuleStats(rule=rule, support=y, body_count=x)
 
 

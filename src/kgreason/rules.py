@@ -147,16 +147,36 @@ class RuleInstance:
 # ----------------------------------------------------------------------
 # rules file
 
-def _confidence_key(stats: RuleStats) -> tuple:
-    conf = stats.confidence
-    if conf is None:
-        conf = Fraction(-1)
-    return (-conf, stats.rule.rule_id)
-
-
 def sort_stats(stats: Iterable[RuleStats]) -> list[RuleStats]:
-    """Descending confidence, ties broken by ascending rule encoding."""
-    return sorted(stats, key=_confidence_key)
+    """Descending confidence, ties broken by ascending rule encoding.
+
+    Unscorable rules come last.  Each distinct confidence is ranked once, so
+    the sort itself compares ints and strings.  A confidence is keyed by its
+    lowest-terms (numerator, denominator), which ``Fraction`` always holds,
+    and ranked by the floor of 2**64 times its value, then exactly only
+    between confidences that share that floor.
+    """
+    stats = list(stats)
+    values: dict[tuple[int, int], Fraction] = {}
+    for st in stats:
+        conf = st.confidence
+        if conf is not None:
+            values[conf.numerator, conf.denominator] = conf
+    distinct = sorted(
+        values,
+        key=lambda nd: ((nd[0] << 64) // nd[1], values[nd]),
+        reverse=True,
+    )
+    rank = {nd: i for i, nd in enumerate(distinct)}
+    last = len(distinct)
+
+    def key(st: RuleStats) -> tuple[int, str]:
+        conf = st.confidence
+        if conf is None:
+            return last, st.rule.rule_id
+        return rank[conf.numerator, conf.denominator], st.rule.rule_id
+
+    return sorted(stats, key=key)
 
 
 _LINE_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)

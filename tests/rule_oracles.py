@@ -3,8 +3,9 @@
 These are the forms the fast paths in `kgreason.rules` and
 `kgreason.mining` replaced: the rule encoding and the rules file written
 atom by atom, with the variables numbered here rather than by
-`kgreason.rules.chain_vars`, and composition that tries every ordered pair
-of rules with `compose_rules` and deduplicates by `rule_id`.  They build
+`kgreason.rules.chain_vars`, composition that tries every ordered pair
+of rules with `compose_rules` and deduplicates by `rule_id`, and the
+library order that compares `(-confidence, rule_id)` tuples.  They build
 far more objects than they keep, but their behaviour is the definition the
 fast paths must reproduce exactly.
 """
@@ -12,6 +13,7 @@ fast paths must reproduce exactly.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -81,3 +83,15 @@ def compose_library_pairwise(
     out = three + four
     out.sort(key=lambda r: (r.hop, atom_rule_id(r)))
     return out
+
+
+def sort_stats_by_fraction(stats: Iterable[RuleStats]) -> list[RuleStats]:
+    """Descending confidence, then rule id, unscorable rules last."""
+
+    def key(st: RuleStats) -> tuple[Fraction, str]:
+        conf = st.confidence
+        if conf is None:
+            conf = Fraction(-1)
+        return (-conf, atom_rule_id(st.rule))
+
+    return sorted(stats, key=key)

@@ -558,6 +558,37 @@ class TestComposeMaxHop:
         assert hops == set(range(2, max_hop + 1))
 
 
+class TestPinnedArtifacts:
+    """Artifact bytes pinned across versions, not only across reruns.
+
+    A change that alters an artifact on purpose updates its digest here and
+    says why.
+    """
+
+    # A random graph of 72 entities, so that composed rules are scored over
+    # two blocks of start entities; 231 library rules, 206 of them composed.
+    LIBRARY_DIGEST = (
+        "sha256:ea9383e768db7f78879bf4e5c9f6cca5d0cb4d749a76c7073ec6a1fd0fd18bff"
+    )
+
+    def test_random_graph_library(self, tmp_path):
+        run_cli(
+            tmp_path, "synth", "--out", "triples.tsv", "--kind", "random",
+            "--entities", "72", "--relations", "3", "--triples", "1800",
+            "--seed", "7",
+        )
+        run_cli(tmp_path, "ingest", "--triples", "triples.tsv", "--store", "store.json")
+        run_cli(
+            tmp_path, "mine", "--store", "store.json", "--out", "rules.tsv",
+            "--min-support", "2", "--min-confidence", "0.1",
+        )
+        run_cli(
+            tmp_path, "compose", "--store", "store.json", "--rules", "rules.tsv",
+            "--out", "library.tsv", "--min-confidence", "0.11",
+        )
+        assert file_digest(tmp_path / "library.tsv") == self.LIBRARY_DIGEST
+
+
 class TestReservedRelationNames:
     """A relation name holding ( ) , or & would make rule ids ambiguous."""
 

@@ -174,6 +174,86 @@ class TestChainCounts:
             score_rule(score_kg, Rule("r1", ("r2", "r3")), ChainCounts(example_kg))
 
 
+def numbered(i: int) -> str:
+    """Entity names that sort like their numbers, so the ids of a graph in
+    which every entity has an edge are those numbers."""
+    return f"e{i:03d}"
+
+
+BLOCK_EDGES = (63, 64, 127, 128)
+BODY_RELATIONS = ("r0", "r1", "r2")
+
+
+class TestPackedCounts:
+    """``ChainCounts`` packs the counts of 64 consecutive start ids into one
+    int; these graphs put starts on both sides of block edges, fill a block
+    up to the lane-width bound, and make one counter widen its lanes."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_starts_across_blocks_match_enumeration(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(65, 200)
+        triples = [
+            (numbered(a), rng.choice(BODY_RELATIONS), numbered(rng.randrange(n)))
+            for a in range(n)
+        ]
+        triples += [
+            (numbered(rng.randrange(n)), rng.choice(BODY_RELATIONS),
+             numbered(rng.randrange(n)))
+            for _ in range(rng.randint(0, 2 * n))
+        ]
+        # The starts at block edges get paths, and a head relation "h" that
+        # closes about half of them; a few other starts close some too.
+        closing = [a for a in BLOCK_EDGES if a < n] + rng.sample(range(n), 8)
+        for a in closing:
+            for rel in BODY_RELATIONS:
+                triples += [
+                    (numbered(a), rel, numbered(c)) for c in rng.sample(range(n), 2)
+                ]
+            triples += [
+                (numbered(a), "h", numbered(c)) for c in rng.sample(range(n), n // 2)
+            ]
+        kg = kg_from(triples)
+        assert kg.entity_name(n - 1) == numbered(n - 1)
+        rules = [
+            Rule(rng.choice(("h", "h", *BODY_RELATIONS)), rule.body_relations)
+            for rule in shared_prefix_rules(rng, BODY_RELATIONS, 20)
+        ]
+        chains = ChainCounts(kg)
+        for rule in rules:
+            stats = score_rule(kg, rule, chains)
+            x, y = brute_rule_score(triples, rule.head_relation, rule.body_relations)
+            assert (stats.body_count, stats.support) == (x, y), rule.rule_id
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**30), st.integers(64, 130), st.integers(1, 3))
+    def test_full_blocks_at_the_bound_and_widening(self, seed, n, degree):
+        # Every entity has exactly ``degree`` tails under each relation, so
+        # each of the first 64 starts has degree**hop paths and their block
+        # reaches the bound 64·degree**hop that sets the lane width.
+        rng = random.Random(seed)
+        triples = [
+            (numbered(a), rel, numbered(c))
+            for a in range(n)
+            for rel in ("h", *BODY_RELATIONS)
+            for c in rng.sample(range(n), degree)
+        ]
+        kg = kg_from(triples)
+        two = tuple(rng.choice(BODY_RELATIONS) for _ in range(2))
+        four = two + tuple(rng.choice(BODY_RELATIONS) for _ in range(2))
+        three = four[:3]
+        chains = ChainCounts(kg)
+        # A longer body widens the lanes, whose old prefixes must not be
+        # reused; shorter bodies after it keep the wider lanes.
+        for body in (two, four, two, three):
+            for head in ("h", body[0]):
+                stats = score_rule(kg, Rule(head, body), chains)
+                x, y = brute_rule_score(triples, head, body)
+                assert (stats.body_count, stats.support) == (x, y), (head, body)
+        assert score_rule(kg, Rule("h", four)).body_count == n * degree**4
+
+
 class TestWorkers:
     def test_worker_count_invariant(self):
         rng = random.Random(99)

@@ -19,7 +19,7 @@ from kgreason.rules import (
     write_rules,
 )
 
-from rule_oracles import atom_rule_id, write_rules_by_atoms
+from rule_oracles import atom_rule_id, sort_stats_by_fraction, write_rules_by_atoms
 
 relation_names = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
 
@@ -93,6 +93,34 @@ class TestRuleStats:
         c = RuleStats(Rule("a", ("p", "r")), 2, 4)   # 0.5, later encoding
         d = RuleStats(Rule("z", ("p", "q")), 0, 0)   # unscorable last
         assert sort_stats([d, c, b, a]) == [a, b, c, d]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("abcdef"),
+                # Small counts repeat confidences under several spellings
+                # (1/2, 2/4, 3/6) and give unscorable 0/0 stats; large ones
+                # give confidences that share a floor of 2**64 times their
+                # value, which only the exact comparison tells apart.
+                st.one_of(
+                    st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                    st.tuples(
+                        st.integers(2**70, 2**70 + 3), st.integers(2**71, 2**71 + 3)
+                    ),
+                ),
+            ),
+            max_size=40,
+        )
+    )
+    @example([("a", (1, 2)), ("b", (2, 4)), ("c", (3, 6)), ("d", (0, 0))])
+    @example([("a", (2**70 + 1, 2**71 + 1)), ("b", (2**70, 2**71)), ("c", (0, 0))])
+    def test_sort_equals_fraction_key_oracle(self, specs):
+        stats = [
+            RuleStats(Rule(head, ("p", "q")), support, body)
+            for head, (support, body) in specs
+        ]
+        assert sort_stats(stats) == sort_stats_by_fraction(stats)
 
 
 class TestRulesFile:
