@@ -256,15 +256,15 @@ class ChainCounts:
             self._levels.clear()
             self._masks.clear()
         level = self._level(rels)
-        lanes = (1 << self._width) - 1
-        x = sum(sum(ends.values()) % lanes for ends in level.values())
+        modulus = (1 << self._width) - 1
+        x = sum(sum(ends.values()) % modulus for ends in level.values())
         y = 0
         if head is not None:
             masks = self._head_masks(head)
             for block, ends in level.items():
                 row = masks.get(block)
                 if row:
-                    y += sum(ends.get(c, 0) & m for c, m in row.items()) % lanes
+                    y += sum(ends.get(c, 0) & m for c, m in row.items()) % modulus
         return x, y
 
     def _level(self, rels: Sequence[int]) -> dict[int, dict[int, int]]:
