@@ -558,20 +558,49 @@ class TestComposeMaxHop:
         assert hops == set(range(2, max_hop + 1))
 
 
+PINNED_DIGESTS = Path(__file__).with_name("pinned_digests.json")
+
+
 class TestPinnedArtifacts:
     """Artifact bytes pinned across versions, not only across reruns.
 
-    A change that alters an artifact on purpose updates its digest here and
-    says why.
+    The sha256 digests live in ``tests/pinned_digests.json``, one group per
+    run.  A change that alters an artifact on purpose updates its digest
+    there and says why.
     """
 
-    # A random graph of 72 entities, so that composed rules are scored over
-    # two blocks of start entities; 231 library rules, 206 of them composed.
-    LIBRARY_DIGEST = (
-        "sha256:ea9383e768db7f78879bf4e5c9f6cca5d0cb4d749a76c7073ec6a1fd0fd18bff"
-    )
+    @pytest.fixture(scope="class")
+    def pinned(self) -> dict:
+        return json.loads(PINNED_DIGESTS.read_text(encoding="utf-8"))
 
-    def test_random_graph_library(self, tmp_path):
+    def assert_pinned(self, pinned: dict, group: str, run_dir: Path) -> None:
+        actual = {name: file_digest(run_dir / name) for name in pinned[group]}
+        assert actual == pinned[group], group
+
+    def test_session_pipeline(self, pinned, pipeline_dir):
+        assert sorted(pinned["session pipeline"]) == sorted(ARTIFACTS)
+        self.assert_pinned(pinned, "session pipeline", pipeline_dir)
+
+    def test_regular_select(self, pinned, pipeline_dir, tmp_path):
+        for name in ("store.json", "library.tsv"):
+            shutil.copy(pipeline_dir / name, tmp_path / name)
+        # The mock client knows two facts in three, so the probes drop
+        # instances whose head it knows and whose body it does not.
+        lines = (pipeline_dir / "triples.tsv").read_text(encoding="utf-8")
+        lines = lines.splitlines(keepends=True)
+        del lines[2::3]
+        (tmp_path / "probe.tsv").write_text("".join(lines), encoding="utf-8")
+        run_cli(
+            tmp_path, "select", "--store", "store.json", "--library", "library.tsv",
+            "--pool", "pool.tsv", "--setting", "regular", "--per-rule", "4",
+            "--client", "mock", "--probe-facts", "probe.tsv", "--seed", "5",
+        )
+        self.assert_pinned(pinned, "regular select", tmp_path)
+
+    def test_random_graph_library(self, pinned, tmp_path):
+        # A random graph of 72 entities, so that composed rules are scored
+        # over two blocks of start entities; 231 library rules, 206 of them
+        # composed.
         run_cli(
             tmp_path, "synth", "--out", "triples.tsv", "--kind", "random",
             "--entities", "72", "--relations", "3", "--triples", "1800",
@@ -586,7 +615,7 @@ class TestPinnedArtifacts:
             tmp_path, "compose", "--store", "store.json", "--rules", "rules.tsv",
             "--out", "library.tsv", "--min-confidence", "0.11",
         )
-        assert file_digest(tmp_path / "library.tsv") == self.LIBRARY_DIGEST
+        self.assert_pinned(pinned, "random-graph compose", tmp_path)
 
 
 class TestReservedRelationNames:
