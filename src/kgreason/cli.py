@@ -297,7 +297,7 @@ def cmd_stats(opts: Options) -> None:
 
 def cmd_mine(opts: Options) -> tuple[None, Counts]:
     kg = KnowledgeGraph.load(opts.input("store"))
-    stats = mining.mine_rule_stats(kg, workers=opts.get("workers"))
+    stats = mining.mine_rule_stats(kg)
     kept = mining.filter_stats(
         stats, opts.get("min_support"), opts.get("min_confidence")
     )
@@ -544,7 +544,6 @@ STAGES = (
         OUT,
         Opt("min_support", int, mining.DEFAULT_MIN_SUPPORT),
         MIN_CONFIDENCE,
-        Opt("workers", int, 1),
     )),
     Stage("compose", "extend mined rules to longer chains", (
         STORE,

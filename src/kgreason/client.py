@@ -1,10 +1,12 @@
 """Client for an external chat-completion style model endpoint.
 
 Two capabilities are exposed: probing whether a model already knows a fact,
-and polishing generated text.  Both degrade softly: a probe that cannot be
-answered (transport failure, exhausted retries, unexpected reply) comes
-back ``undecided``, and a failed polish returns the input text unchanged
-with a warning, so pipelines never crash on a flaky endpoint.
+and polishing generated text.  A call is retried a bounded number of times;
+when every attempt fails (transport error or a status other than 200) it
+raises ClientError, so a dead endpoint fails the stage instead of turning
+every probe ``undecided``.  A reply that arrives but reads as neither YES
+nor NO is an ``undecided`` probe, and an empty polish reply returns the
+input text unchanged with a warning.
 
 In mock mode no network is touched.  Probe verdicts come from a supplied
 lookup table keyed by the fact sentence (closed world: absent means
@@ -118,8 +120,8 @@ class ModelClient:
         if self.config.mode == MODE_MOCK:
             return text
         reply = self._complete(f"{instruction}\n\n{text}")
-        if reply is None or not reply.strip():
-            logger.warning("polish failed, returning text unchanged")
+        if not reply.strip():
+            logger.warning("empty polish reply, returning text unchanged")
             return text
         return reply
 
@@ -127,8 +129,6 @@ class ModelClient:
 
     def _probe_live(self, sentence: str) -> str:
         reply = self._complete(f"{PROBE_INSTRUCTION}\n\n{sentence}")
-        if reply is None:
-            return VERDICT_UNDECIDED
         word = reply.strip().split()[0].upper() if reply.strip() else ""
         if word.startswith("YES"):
             return VERDICT_KNOWN
@@ -136,8 +136,9 @@ class ModelClient:
             return VERDICT_UNKNOWN
         return VERDICT_UNDECIDED
 
-    def _complete(self, prompt: str) -> Optional[str]:
-        """One chat completion, with bounded retries.  None on failure."""
+    def _complete(self, prompt: str) -> str:
+        """One chat completion, with bounded retries.  Raises ClientError
+        when every attempt fails."""
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.config.token_env, "")
         if token:
@@ -147,7 +148,10 @@ class ModelClient:
             "messages": [{"role": "user", "content": prompt}],
         }
         attempts = self.config.max_retries + 1
+        failure: Optional[Exception] = None
         for attempt in range(attempts):
+            if attempt and self.config.retry_backoff > 0:
+                time.sleep(self.config.retry_backoff * 2 ** (attempt - 1))
             try:
                 response = self._transport(
                     self.config.endpoint,
@@ -164,9 +168,8 @@ class ModelClient:
                 logger.warning(
                     "model call failed (attempt %d/%d): %s", attempt + 1, attempts, exc
                 )
-                if attempt + 1 < attempts and self.config.retry_backoff > 0:
-                    time.sleep(self.config.retry_backoff * (2**attempt))
-        return None
+                failure = exc
+        raise ClientError(f"model call failed after {attempts} attempts: {failure}")
 
 
 def mock_client(probe_table: Optional[Mapping[str, str] | Iterable[str]] = None) -> ModelClient:

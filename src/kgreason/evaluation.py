@@ -20,7 +20,6 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -204,10 +203,6 @@ class ParsedPrediction:
     facts: tuple[tuple[str, str, str], ...]
 
     @property
-    def parseable(self) -> bool:
-        return self.predicted is not None
-
-    @property
     def final_hop(self) -> Optional[int]:
         if self.final_rule_id is not None:
             return Rule.decode(self.final_rule_id).hop
@@ -383,14 +378,6 @@ class MatchScore:
     total: int
 
     @property
-    def score(self) -> float:
-        return self.correct / self.total
-
-    @property
-    def exact(self) -> Fraction:
-        return Fraction(self.correct, self.total)
-
-    @property
     def percent(self) -> str:
         return f"{100 * self.correct / self.total:.2f}"
 
@@ -461,6 +448,9 @@ def classify_error(
 
     Order of tests: unparseable, correct, wrong rule, first absent fact
     (all absent positions are reported, 1-based), else valid alternative.
+    ``name_to_id`` must map names to entity ids of ``kg``: facts are looked
+    up without a range check, and an id out of range can alias another
+    fact.
     """
     if parsed.predicted is None:
         return Verdict(VERDICT_UNPARSEABLE)
@@ -494,7 +484,7 @@ def classify_error(
             s is None
             or o is None
             or not kg.has_relation(rel)
-            or not kg.has_fact_ids(s, kg.relation_id(rel), o)
+            or not kg.holds(s, kg.relation_id(rel), o)
         ):
             absent.append(index)
     if absent:
@@ -575,6 +565,11 @@ class Evaluator:
         self.stats = list(library_stats)
         self.templates = templates
         self.extra_names = dict(extra_names or {})
+        for name, eid in self.extra_names.items():
+            if type(eid) is not int or not 0 <= eid < kg.num_entities:
+                raise DataError(
+                    f"name {name!r} maps to {eid!r}, not an entity id of the graph"
+                )
         names = list(kg.entity_names()) + list(self.extra_names)
         self.name_to_id = {name: kg.entity_id(name) for name in kg.entity_names()}
         self.name_to_id.update(self.extra_names)

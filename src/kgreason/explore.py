@@ -180,10 +180,6 @@ class ExplorationTrace:
         return sum(1 for s in self.steps if isinstance(s, MissingFact))
 
     @property
-    def rendered_hops(self) -> int:
-        return sum(s.rule.hop for s in self.steps if isinstance(s, TryRule))
-
-    @property
     def conclusion(self) -> Optional[Conclude]:
         for step in reversed(self.steps):
             if isinstance(step, Conclude):

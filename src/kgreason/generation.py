@@ -55,9 +55,9 @@ def select_query_side(kg: KnowledgeGraph, instance: RuleInstance) -> str:
     unambiguous question and the result is ``skip``.
     """
     rid = kg.relation_id(instance.rule.head_relation)
-    if len(kg.successors(instance.subject, rid)) == 1:
+    if len(kg.tails(instance.subject, rid)) == 1:
         return SIDE_OBJECT
-    if len(kg.predecessors(instance.object, rid)) == 1:
+    if len(kg.heads(instance.object, rid)) == 1:
         return SIDE_SUBJECT
     return QUERY_SKIP
 

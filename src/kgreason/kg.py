@@ -13,10 +13,14 @@ in its list already sorted, so one pass over the id triples builds every
 index.  ``load`` checks the order as it validates; a hand-made store out of
 it is remapped and sorted once and loads equal to its canonical form.
 
-The store is immutable and safe to query from several threads.  Public
-queries check ids and raise UnknownSymbolError; ``tails``, ``heads``,
-``out_edges`` and ``holds`` neither check nor copy, for hot paths that
-validated their ids once at their own boundary.
+The store is immutable and safe to query from several threads.  Ids are
+checked once, where they enter: ``entity_id`` and ``relation_id`` raise
+UnknownSymbolError for an unknown name, and ``load`` rejects a triple with
+an id out of range.  The graph queries ``tails``, ``heads``,
+``relation_pairs``, ``out_edges`` and ``holds`` take ids as given and
+return stored sequences without a copy.  An id out of range gives a wrong
+answer rather than an error (``holds`` may answer for another fact), so a
+caller holding ids from anywhere else checks them at its own boundary.
 
 Triple files are UTF-8 text, one fact per line, with exactly three
 tab-separated fields: head entity, relation, tail entity.  Duplicate lines
@@ -232,33 +236,6 @@ class KnowledgeGraph:
     # ------------------------------------------------------------------
     # queries
 
-    def has_fact(self, triple: Triple) -> bool:
-        """Membership test.  Ids must be valid, otherwise UnknownSymbolError."""
-        self._check_entity(triple.head)
-        self._check_relation(triple.relation)
-        self._check_entity(triple.tail)
-        return self.holds(triple.head, triple.relation, triple.tail)
-
-    def has_fact_ids(self, head: int, relation: int, tail: int) -> bool:
-        return self.has_fact(Triple(head, relation, tail))
-
-    def successors(self, eid: int, rid: int) -> list[int]:
-        """Tails reachable from ``eid`` via relation ``rid``, ascending."""
-        self._check_entity(eid)
-        self._check_relation(rid)
-        return list(self.tails(eid, rid))
-
-    def predecessors(self, eid: int, rid: int) -> list[int]:
-        """Heads that reach ``eid`` via relation ``rid``, ascending."""
-        self._check_entity(eid)
-        self._check_relation(rid)
-        return list(self.heads(eid, rid))
-
-    def relation_pairs(self, rid: int) -> list[tuple[int, int]]:
-        """All (head, tail) entity pairs of a relation, ascending."""
-        self._check_relation(rid)
-        return list(self._rel_pairs[rid])
-
     def triples(self) -> Iterator[Triple]:
         """All facts in canonical (head, relation, tail) order."""
         return (Triple(h, r, t) for h, r, t in self._id_triples())
@@ -277,13 +254,19 @@ class KnowledgeGraph:
         }
 
     # ------------------------------------------------------------------
-    # unchecked views: valid ids only, results must not be mutated
+    # adjacency and membership: valid ids only, results must not be mutated
 
     def tails(self, eid: int, rid: int) -> Sequence[int]:
+        """Tails reachable from ``eid`` via relation ``rid``, ascending."""
         return self._succ.get(eid * self._n_relations + rid, ())
 
     def heads(self, eid: int, rid: int) -> Sequence[int]:
+        """Heads that reach ``eid`` via relation ``rid``, ascending."""
         return self._pred.get(eid * self._n_relations + rid, ())
+
+    def relation_pairs(self, rid: int) -> Sequence[tuple[int, int]]:
+        """All (head, tail) entity pairs of a relation, ascending."""
+        return self._rel_pairs[rid]
 
     def out_edges(self, eid: int) -> Sequence[tuple[int, int]]:
         """Outgoing edges of ``eid`` as (relation id, tail id) pairs, in
@@ -301,6 +284,7 @@ class KnowledgeGraph:
         return max(map(len, self._succ.values()), default=0)
 
     def holds(self, head: int, rid: int, tail: int) -> bool:
+        """Whether the fact (head, rid, tail) is in the graph."""
         return (head * self._n_relations + rid) * self._n_entities + tail in self._facts
 
     # ------------------------------------------------------------------

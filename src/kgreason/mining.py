@@ -63,10 +63,11 @@ def exact_fraction(value) -> Fraction:
 # ----------------------------------------------------------------------
 # two-hop mining
 
-def _count_stripe(kg: KnowledgeGraph, stripe: int, stripes: int) -> dict[tuple[int, int, int], int]:
+def _two_hop_counts(kg: KnowledgeGraph) -> dict[tuple[int, int, int], int]:
+    """y counts: the instances of each two-hop rule ``(r3, r1, r2)``."""
     counts: dict[tuple[int, int, int], int] = {}
     out_edges = kg.out_edges
-    for a in range(stripe, kg.num_entities, stripes):
+    for a in range(kg.num_entities):
         edges_a = out_edges(a)
         if not edges_a:
             continue
@@ -80,43 +81,6 @@ def _count_stripe(kg: KnowledgeGraph, stripe: int, stripes: int) -> dict[tuple[i
                     key = (r3, r1, r2)
                     counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-_WORKER_KG: Optional[KnowledgeGraph] = None
-
-
-def _stripe_job(args: tuple[int, int]) -> dict[tuple[int, int, int], int]:
-    stripe, stripes = args
-    assert _WORKER_KG is not None
-    return _count_stripe(_WORKER_KG, stripe, stripes)
-
-
-def _mine_counts(kg: KnowledgeGraph, workers: int) -> dict[tuple[int, int, int], int]:
-    if workers <= 1:
-        return _count_stripe(kg, 0, 1)
-    global _WORKER_KG
-    import multiprocessing
-
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        return _count_stripe(kg, 0, 1)
-    # Build the lazy edge map before the fork, so that the workers inherit
-    # it rather than each building its own.
-    kg.out_edges(0)
-    _WORKER_KG = kg
-    try:
-        # Fork after setting the module global so children inherit the graph
-        # without pickling it.
-        with ctx.Pool(processes=workers) as pool:
-            partials = pool.map(_stripe_job, [(i, workers) for i in range(workers)])
-    finally:
-        _WORKER_KG = None
-    merged: dict[tuple[int, int, int], int] = {}
-    for part in partials:
-        for key, n in part.items():
-            merged[key] = merged.get(key, 0) + n
-    return merged
 
 
 def _pair_body_counts(
@@ -141,13 +105,12 @@ def _pair_body_counts(
     return out
 
 
-def mine_rule_stats(kg: KnowledgeGraph, workers: int = 1) -> list[RuleStats]:
+def mine_rule_stats(kg: KnowledgeGraph) -> list[RuleStats]:
     """Score every two-hop rule that has at least one instance on the graph.
 
-    The result is sorted by canonical rule encoding and is byte-for-byte
-    identical for any worker count.
+    The result is sorted by canonical rule encoding.
     """
-    y_counts = _mine_counts(kg, workers)
+    y_counts = _two_hop_counts(kg)
     x_counts = _pair_body_counts(kg, {(r1, r2) for (_, r1, r2) in y_counts})
     stats = []
     for (r3, r1, r2), y in y_counts.items():
@@ -357,32 +320,6 @@ def filter_stats(
 # ----------------------------------------------------------------------
 # composition
 
-def compose_rules(
-    outer: Rule, inner: Rule, max_hop: int = DEFAULT_MAX_HOP
-) -> Optional[Rule]:
-    """Splice ``inner``'s body into ``outer`` where inner's head relation
-    occurs in outer's body.
-
-    The leftmost matching body atom is replaced, and variables are renamed
-    left to right back to the canonical X, Z1, ..., Y sequence.  Returns
-    None when no body atom matches or the combined hop count would exceed
-    ``max_hop``.
-    """
-    try:
-        at = outer.body_relations.index(inner.head_relation)
-    except ValueError:
-        return None
-    new_hop = outer.hop + inner.hop - 1
-    if new_hop > max_hop:
-        return None
-    body = (
-        outer.body_relations[:at]
-        + inner.body_relations
-        + outer.body_relations[at + 1 :]
-    )
-    return Rule(outer.head_relation, body)
-
-
 def compose_library(
     two_hop: Sequence[Rule], max_hop: int = DEFAULT_MAX_HOP
 ) -> list[Rule]:
@@ -390,7 +327,9 @@ def compose_library(
 
     Three-hop rules come from every ordered pair of two-hop rules; four-hop
     rules from splicing a two-hop rule into each composed three-hop rule.
-    Each splice follows ``compose_rules``, but on ``(head, body)`` relation
+    A splice replaces the leftmost body relation of the outer rule that
+    heads the inner rule with the inner rule's body, and drops results
+    longer than ``max_hop``.  Splices run on ``(head, body)`` relation
     tuples: only the inner rules headed by a relation of the outer body are
     tried, and a ``Rule`` is built only for each distinct candidate.  Since
     relation names cannot hold the encoding's delimiters, distinct tuples

@@ -59,10 +59,6 @@ class SelectionPool:
     def size(self) -> int:
         return sum(len(v) for v in self.per_rule.values())
 
-    def is_balanced(self) -> bool:
-        sizes = [len(v) for v in self.per_rule.values()]
-        return not sizes or max(sizes) == min(sizes)
-
     def entity_ids(self) -> list[int]:
         ids = {e for inst in self.instances() for e in inst.entities}
         return sorted(ids)

@@ -3,9 +3,9 @@
 A relation template turns one fact into one sentence via the ``<ENT1>`` and
 ``<ENT2>`` slots.  A question template has a single ``<ENT>`` slot for the
 given entity and asks, in possibility tone, for the entity on the queried
-side.  Templates can be hand written, loaded from a tab-separated file, or
-requested from the model client once per relation; a deterministic fallback
-is always available so offline runs never stall on a missing entry.
+side.  Templates are hand written or loaded from a tab-separated file; a
+deterministic fallback is always available so runs never stall on a
+missing entry.
 
 Fact sentences must be mechanically invertible: `RelationTemplate.pieces`
 splits a template into its literal text and its two slots, and evaluation
@@ -31,20 +31,6 @@ ENT = "<ENT>"
 
 SIDE_SUBJECT = "subject"
 SIDE_OBJECT = "object"
-
-TEMPLATE_INSTRUCTION = (
-    "Write one short English sentence template expressing the relation "
-    "below between two entities. Use the placeholders <ENT1> for the "
-    "subject and <ENT2> for the object, each exactly once, and include "
-    "the word 'is'."
-)
-QUESTION_INSTRUCTION = (
-    "Write one short English question template asking which entity might "
-    "stand in the relation below to a given entity. Use the placeholder "
-    "<ENT> for the given entity exactly once and phrase the question with "
-    "'might'."
-)
-
 
 def _phrase(relation: str) -> str:
     return relation.replace("_", " ")
@@ -232,9 +218,6 @@ class TemplateLibrary:
             )
         return generic_question_template(relation, side)
 
-    def known_relations(self) -> list[str]:
-        return sorted(self._relations)
-
     def render_fact(self, kg: KnowledgeGraph, fact: Triple, name_of) -> str:
         return self.relation(kg.relation_name(fact.relation)).render(
             name_of(fact.head), name_of(fact.tail)
@@ -283,32 +266,6 @@ class TemplateLibrary:
                         )
                     lib.add_question(QuestionTemplate(fields[0], fields[1], fields[2]))
         return lib
-
-
-def generate_templates(relations: Iterable[str], client) -> TemplateLibrary:
-    """Ask the model client for templates, one relation at a time.
-
-    Replies that fail validation (wrong slots, empty) fall back to the
-    generic pattern, so the result is always usable.  With a mock client
-    the reply is the echoed prompt, which never validates, and the library
-    ends up fully generic and fully deterministic.
-    """
-    lib = TemplateLibrary.builtin()
-    for relation in sorted(set(relations)):
-        reply = client.polish(TEMPLATE_INSTRUCTION, f"relation: {relation}")
-        try:
-            lib.add_relation(RelationTemplate(relation, reply.strip()))
-        except TemplateError:
-            lib.add_relation(generic_relation_template(relation))
-        for side in (SIDE_SUBJECT, SIDE_OBJECT):
-            q_reply = client.polish(
-                QUESTION_INSTRUCTION, f"relation: {relation} (asking the {side})"
-            )
-            try:
-                lib.add_question(QuestionTemplate(relation, side, q_reply.strip()))
-            except TemplateError:
-                lib.add_question(generic_question_template(relation, side))
-    return lib
 
 
 def name_alternation(names: Iterable[str]) -> str:

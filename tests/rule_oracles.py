@@ -15,9 +15,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from kgreason.mining import compose_rules
 from kgreason.rules import DEFAULT_MAX_HOP, Rule, RuleStats
 
 
@@ -58,6 +57,32 @@ def write_rules_by_atoms(path: str | Path, stats: Iterable[RuleStats]) -> int:
             fh.write("\n")
             count += 1
     return count
+
+
+def compose_rules(
+    outer: Rule, inner: Rule, max_hop: int = DEFAULT_MAX_HOP
+) -> Optional[Rule]:
+    """Splice ``inner``'s body into ``outer`` where inner's head relation
+    occurs in outer's body.
+
+    The leftmost matching body atom is replaced, and variables are renamed
+    left to right back to the canonical X, Z1, ..., Y sequence.  Returns
+    None when no body atom matches or the combined hop count would exceed
+    ``max_hop``.
+    """
+    try:
+        at = outer.body_relations.index(inner.head_relation)
+    except ValueError:
+        return None
+    new_hop = outer.hop + inner.hop - 1
+    if new_hop > max_hop:
+        return None
+    body = (
+        outer.body_relations[:at]
+        + inner.body_relations
+        + outer.body_relations[at + 1 :]
+    )
+    return Rule(outer.head_relation, body)
 
 
 def compose_library_pairwise(

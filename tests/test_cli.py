@@ -522,6 +522,31 @@ class TestExitCodes:
         assert cli.main(["stats", "--store", "whatever"]) == 3
         assert "client error" in capsys.readouterr().err
 
+    def test_dead_endpoint_exits_3(self, pipeline_dir, tmp_path, monkeypatch, capsys):
+        import requests
+
+        calls = []
+
+        def refuse(url, **kwargs):
+            calls.append(url)
+            raise requests.ConnectionError("connection refused")
+
+        monkeypatch.setattr(requests, "post", refuse)
+        monkeypatch.chdir(tmp_path)
+        for name in ("store.json", "library.tsv"):
+            shutil.copy(pipeline_dir / name, name)
+        code = cli.main([
+            "select", "--store", "store.json", "--library", "library.tsv",
+            "--pool", "pool.tsv", "--setting", "regular", "--client", "live",
+            "--endpoint", "https://example.test/v1/chat", "--max-retries", "0",
+        ])
+        assert code == 3
+        assert calls == ["https://example.test/v1/chat"]
+        err = capsys.readouterr().err
+        assert "client error" in err and "connection refused" in err
+        assert not (tmp_path / "pool.tsv").exists()
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_success_exit_zero(self, tmp_path):
         (tmp_path / "t.tsv").write_text("a\tr\tb\n", encoding="utf-8")
         proc = run_cli(

@@ -17,7 +17,7 @@ from kgreason.client import (
     ModelClient,
     mock_client,
 )
-from kgreason.errors import UsageError
+from kgreason.errors import ClientError, UsageError
 
 from conftest import SOURCE_ROOT
 
@@ -123,7 +123,8 @@ class TestLiveProtocol:
         client, transport = live_client(
             [FakeResponse(status_code=500)] * 3, max_retries=2
         )
-        assert client.probe_fact("f.") == VERDICT_UNDECIDED
+        with pytest.raises(ClientError, match="after 3 attempts"):
+            client.probe_fact("f.")
         assert len(transport.calls) == 3  # initial try + two retries
 
     def test_transport_exception_absorbed(self):
@@ -132,6 +133,11 @@ class TestLiveProtocol:
 
     def test_polish_failure_returns_original(self):
         client, _ = live_client([FakeResponse(status_code=503)], max_retries=0)
+        with pytest.raises(ClientError, match="503"):
+            client.polish("rewrite", "keep me")
+
+    def test_empty_polish_reply_returns_original(self):
+        client, _ = live_client([FakeResponse(content="  ")], max_retries=0)
         assert client.polish("rewrite", "keep me") == "keep me"
 
     def test_live_requires_endpoint(self):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import kg_from, random_triples
 from kgreason.errors import DataError, IngestError, UnknownSymbolError
-from kgreason.kg import KnowledgeGraph, Triple
+from kgreason.kg import KnowledgeGraph
 
 
 def ids(kg, *names):
@@ -57,20 +57,18 @@ class TestIngest:
 
 class TestQueries:
     def test_has_fact_present(self, example_kg):
-        t = Triple(*ids(example_kg, "a"), example_kg.relation_id("r2"),
-                   *ids(example_kg, "b"))
-        assert example_kg.has_fact(t)
+        a, b = ids(example_kg, "a", "b")
+        assert example_kg.holds(a, example_kg.relation_id("r2"), b)
 
     def test_has_fact_absent(self, example_kg):
         a, c = ids(example_kg, "a", "c")
-        assert not example_kg.has_fact(Triple(a, example_kg.relation_id("r2"), c))
+        assert not example_kg.holds(a, example_kg.relation_id("r2"), c)
 
     def test_unknown_symbol_distinct_from_absent(self, example_kg):
         with pytest.raises(UnknownSymbolError):
             example_kg.relation_id("r9")
-        a, b = ids(example_kg, "a", "b")
         with pytest.raises(UnknownSymbolError):
-            example_kg.has_fact(Triple(a, 17, b))
+            example_kg.relation_name(17)
 
     def test_neighbors_forward_canonical(self, example_kg):
         a, b, c = ids(example_kg, "a", "b", "c")
@@ -85,14 +83,14 @@ class TestQueries:
     def test_successors_predecessors(self, example_kg):
         a, b = ids(example_kg, "a", "b")
         r2 = example_kg.relation_id("r2")
-        assert example_kg.successors(a, r2) == [b]
-        assert example_kg.predecessors(b, r2) == [a]
+        assert list(example_kg.tails(a, r2)) == [b]
+        assert list(example_kg.heads(b, r2)) == [a]
 
     def test_self_loop_retained(self):
         kg = kg_from([("a", "r", "a")])
         aid = kg.entity_id("a")
-        assert kg.has_fact(Triple(aid, kg.relation_id("r"), aid))
-        assert kg.successors(aid, kg.relation_id("r")) == [aid]
+        assert kg.holds(aid, kg.relation_id("r"), aid)
+        assert list(kg.tails(aid, kg.relation_id("r"))) == [aid]
 
 
 class TestOrderIndependence:
@@ -201,7 +199,7 @@ class TestPersistence:
         kg = KnowledgeGraph.load(path)
         assert kg.entity_names() == ["a", "b", "c"]
         assert list(kg.out_edges(1)) == []
-        assert kg.successors(0, 0) == [2]
+        assert list(kg.tails(0, 0)) == [2]
 
 
 def store_text(entities=("a", "b"), relations=("r",), triples=((0, 0, 1),)):
@@ -299,14 +297,11 @@ def assert_matches_oracle(kg, facts):
             rid = kg.relation_id(r)
             tails = sorted(t for h, rr, t in facts if h == e and rr == r)
             heads = sorted(h for h, rr, t in facts if t == e and rr == r)
-            assert [ent(t) for t in kg.successors(eid, rid)] == tails
-            assert [ent(h) for h in kg.predecessors(eid, rid)] == heads
-            assert list(kg.tails(eid, rid)) == kg.successors(eid, rid)
-            assert list(kg.heads(eid, rid)) == kg.predecessors(eid, rid)
+            assert [ent(t) for t in kg.tails(eid, rid)] == tails
+            assert [ent(h) for h in kg.heads(eid, rid)] == heads
             for other in entities:
                 oid = kg.entity_id(other)
                 present = (e, r, other) in facts
-                assert kg.has_fact(Triple(eid, rid, oid)) is present
                 assert kg.holds(eid, rid, oid) is present
 
 

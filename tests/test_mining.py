@@ -15,7 +15,6 @@ from kgreason.errors import UsageError
 from kgreason.mining import (
     ChainCounts,
     compose_library,
-    compose_rules,
     exact_fraction,
     filter_stats,
     ground_rule,
@@ -24,7 +23,7 @@ from kgreason.mining import (
     score_rule,
 )
 from kgreason.rules import Rule, RuleStats
-from rule_oracles import compose_library_pairwise
+from rule_oracles import compose_library_pairwise, compose_rules
 
 
 def mined_instances(kg):
@@ -87,10 +86,8 @@ class TestScoring:
 
     def test_grounded_instances_verify_facts(self, score_kg):
         for inst in ground_rule(score_kg, Rule("r1", ("r2", "r3"))):
-            for fact in inst.body_facts:
-                assert score_kg.has_fact(fact)
-            assert inst.head_fact is not None
-            assert score_kg.has_fact(inst.head_fact)
+            for fact in (*inst.body_facts, inst.head_fact):
+                assert score_kg.holds(fact.head, fact.relation, fact.tail)
 
 
 class TestBruteForceAgreement:
@@ -252,13 +249,6 @@ class TestPackedCounts:
                 x, y = brute_rule_score(triples, head, body)
                 assert (stats.body_count, stats.support) == (x, y), (head, body)
         assert score_rule(kg, Rule("h", four)).body_count == n * degree**4
-
-
-class TestWorkers:
-    def test_worker_count_invariant(self):
-        rng = random.Random(99)
-        kg = kg_from(random_triples(rng, 40, 6, 250))
-        assert mine_rule_stats(kg, workers=1) == mine_rule_stats(kg, workers=3)
 
 
 class TestFiltering:

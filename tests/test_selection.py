@@ -147,7 +147,7 @@ class TestLeakage:
         )
         rebalanced = rebalance_min(pool)
         assert rebalanced.counts() == {RULE_A.rule_id: 2, RULE_B.rule_id: 2}
-        assert rebalanced.is_balanced()
+        assert len(set(rebalanced.counts().values())) <= 1
 
     def test_rebalance_drops_empty_rules(self):
         pool = balance_instances(
@@ -320,7 +320,7 @@ class TestPipelineAndFiles:
 
     def test_pipeline_balanced_and_leak_free(self):
         kg, pool, mapping = self.mined_pool()
-        assert pool.is_balanced()
+        assert len(set(pool.counts().values())) <= 1
         heads = {i.head_fact for i in pool.instances()}
         assert not heads & pool.body_fact_union()
         assert mapping is not None
@@ -348,6 +348,6 @@ class TestPipelineAndFiles:
     @given(st.integers(0, 2**30))
     def test_pipeline_invariants_random(self, seed):
         kg, pool, _ = self.mined_pool(seed=seed)
-        assert pool.is_balanced()
+        assert len(set(pool.counts().values())) <= 1
         heads = {i.head_fact for i in pool.instances()}
         assert not heads & pool.body_fact_union()

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from conftest import kg_from
-from kgreason.client import mock_client
 from kgreason.errors import TemplateError
 from kgreason.templates import (
     SIDE_OBJECT,
@@ -13,7 +12,6 @@ from kgreason.templates import (
     QuestionTemplate,
     RelationTemplate,
     TemplateLibrary,
-    generate_templates,
     name_alternation,
 )
 
@@ -86,7 +84,7 @@ class TestQuestionTemplate:
 class TestLibrary:
     def test_builtin_lookup(self):
         lib = TemplateLibrary.builtin()
-        assert "citizen_of" in lib.known_relations()
+        assert lib.relation("citizen_of").pattern == "<ENT1> is a citizen of <ENT2>."
         q = lib.question("citizen_of", SIDE_OBJECT)
         assert q.render("Anykid") == "Which country might Anykid be a citizen of?"
 
@@ -146,15 +144,6 @@ class TestLibrary:
         bad.write_text("only_one_field\n")
         with pytest.raises(TemplateError):
             TemplateLibrary.load(bad)
-
-    def test_generated_templates_deterministic_with_mock(self):
-        lib1 = generate_templates(["rel_a", "rel_b"], mock_client())
-        lib2 = generate_templates(["rel_a", "rel_b"], mock_client())
-        for rel in ("rel_a", "rel_b"):
-            assert lib1.relation(rel).pattern == lib2.relation(rel).pattern
-            # Mock replies echo the input, which never validates as a
-            # template, so the generic pattern is used.
-            assert "<ENT1>" in lib1.relation(rel).pattern
 
 
 class TestPieces:
