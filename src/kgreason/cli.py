@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from . import mining
+from .artifacts import write_lines
 from .errors import ClientError, DataError, UsageError
 from .kg import KnowledgeGraph, Triple
 from .manifest import RunManifest
@@ -454,9 +455,8 @@ def cmd_split(opts: Options) -> tuple[int, Counts]:
             for split in splits
         ]
     }
-    with open(opts.output("out", "splits"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    write_lines(opts.output("out", "splits"), [text])
     for split in splits:
         print(f"{split.key}: {len(split.samples)} samples")
     return seed, {split.key: len(split.samples) for split in splits}
@@ -638,7 +638,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"{PROG}: usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"{PROG}: data error: {exc}", file=sys.stderr)
         return 2
     except ClientError as exc:

@@ -24,6 +24,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
+from .artifacts import read_records, write_lines, write_records
 from .errors import DataError, UsageError
 from .generation import ReasoningSample
 from .kg import KnowledgeGraph
@@ -363,12 +364,6 @@ def _match_fact(
     return None
 
 
-def extract_prediction(raw: str, names: Iterable[str]) -> Optional[str]:
-    """One-off extraction without building a full parser by hand."""
-    parser = OutputParser([], names, TemplateLibrary())
-    return parser.extract_prediction(raw)
-
-
 # ----------------------------------------------------------------------
 # scoring
 
@@ -532,9 +527,7 @@ class EvalReport:
         )
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
+        write_lines(path, [self.to_json()])
 
     def render_table(self) -> str:
         lines = [
@@ -634,40 +627,19 @@ class Evaluator:
 # predictions file
 
 def write_predictions(path: str | Path, outputs: Mapping[str, str]) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for sid in sorted(outputs):
-            fh.write(
-                json.dumps(
-                    {"id": sid, "output": outputs[sid]},
-                    separators=(",", ":"),
-                    ensure_ascii=False,
-                )
-            )
-            fh.write("\n")
-            count += 1
-    return count
+    return write_records(
+        path, ({"id": sid, "output": outputs[sid]} for sid in sorted(outputs))
+    )
 
 
 def read_predictions(path: str | Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                sid, output = record["id"], record["output"]
-            except (KeyError, TypeError, json.JSONDecodeError) as exc:
-                raise DataError(f"{path}: bad prediction on line {line_no}") from exc
-            if not isinstance(sid, str) or not isinstance(output, str):
-                raise DataError(
-                    f"{path}: prediction id and output must be strings "
-                    f"on line {line_no}"
-                )
-            out[sid] = output
-    return out
+    def parse(record) -> tuple[str, str]:
+        sid, output = record["id"], record["output"]
+        if not isinstance(sid, str) or not isinstance(output, str):
+            raise TypeError("prediction id and output must be strings")
+        return sid, output
+
+    return dict(read_records(path, "prediction", parse))
 
 
 def read_splits(

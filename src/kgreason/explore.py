@@ -16,7 +16,6 @@ so rendered length grows with the number of errors.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -38,8 +37,6 @@ from .kg import KnowledgeGraph, Triple
 from .rules import Rule, RuleInstance, RuleStats
 from .selection import SelectionPool, extend_name_map
 from .templates import SIDE_OBJECT, SIDE_SUBJECT, TemplateLibrary
-
-logger = logging.getLogger(__name__)
 
 OUTCOME_SUCCESS = "success"
 OUTCOME_EXHAUSTED = "exhausted"
@@ -248,19 +245,16 @@ def _grounded_facts(
 # ----------------------------------------------------------------------
 # candidate ordering and the exploration loop
 
-def order_candidates(
-    library: Iterable[RuleStats],
-    head_relation: str,
-    policy: Optional[Callable[[RuleStats], tuple]] = None,
-) -> list[Rule]:
+def order_candidates(library: Iterable[RuleStats], head_relation: str) -> list[Rule]:
     """Candidates for a head relation: most confident first, then fewest
     hops, then canonical encoding."""
-    if policy is None:
-        def policy(st: RuleStats) -> tuple:
-            conf = st.confidence if st.confidence is not None else Fraction(-1)
-            return (-conf, st.rule.hop, st.rule.rule_id)
+
+    def key(st: RuleStats) -> tuple:
+        conf = st.confidence if st.confidence is not None else Fraction(-1)
+        return (-conf, st.rule.hop, st.rule.rule_id)
+
     matching = [st for st in library if st.rule.head_relation == head_relation]
-    matching.sort(key=policy)
+    matching.sort(key=key)
     return [st.rule for st in matching]
 
 

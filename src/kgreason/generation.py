@@ -11,14 +11,14 @@ render with synthetic names throughout.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from .errors import DataError, TemplateError, UsageError
+from .artifacts import read_records, write_records
+from .errors import TemplateError, UsageError
 from .kg import KnowledgeGraph, Triple
 from .rules import RuleInstance
 from .seeding import derive_seed
@@ -268,29 +268,11 @@ def make_samples(
 
 
 def write_samples(path: str | Path, samples: Iterable[ReasoningSample]) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(
-                json.dumps(sample.to_record(), separators=(",", ":"), ensure_ascii=False)
-            )
-            fh.write("\n")
-            count += 1
-    return count
+    return write_records(path, (sample.to_record() for sample in samples))
 
 
 def read_samples(path: str | Path) -> list[ReasoningSample]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(ReasoningSample.from_record(json.loads(line)))
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise DataError(f"{path}: bad sample on line {line_no}") from exc
-    return out
+    return read_records(path, "sample", ReasoningSample.from_record)
 
 
 # ----------------------------------------------------------------------
@@ -390,10 +372,4 @@ def corpus_from_pool(
 
 
 def write_corpus(path: str | Path, docs: Iterable[CorpusDoc]) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(json.dumps(doc.to_record(), separators=(",", ":"), ensure_ascii=False))
-            fh.write("\n")
-            count += 1
-    return count
+    return write_records(path, (doc.to_record() for doc in docs))

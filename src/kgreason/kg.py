@@ -42,6 +42,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .artifacts import write_lines
 from .errors import DataError, IngestError, UnknownSymbolError
 
 STORE_FORMAT_VERSION = 1
@@ -236,10 +237,6 @@ class KnowledgeGraph:
     # ------------------------------------------------------------------
     # queries
 
-    def triples(self) -> Iterator[Triple]:
-        """All facts in canonical (head, relation, tail) order."""
-        return (Triple(h, r, t) for h, r, t in self._id_triples())
-
     def _id_triples(self) -> Iterator[tuple[int, int, int]]:
         for hr in sorted(self._succ):
             h, r = divmod(hr, self._n_relations)
@@ -298,10 +295,9 @@ class KnowledgeGraph:
             "triples": [[h, r, t] for h, r, t in self._id_triples()],
         }
         # json.dumps runs the C encoder; json.dump would not.
-        text = json.dumps(payload, separators=(",", ":"), ensure_ascii=False)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+        write_lines(
+            path, [json.dumps(payload, separators=(",", ":"), ensure_ascii=False)]
+        )
 
     @classmethod
     @_gc_paused()

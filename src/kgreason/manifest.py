@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 from typing import Mapping, Optional
 
+from .artifacts import write_lines
 from .errors import DataError
 
 TOOL_VERSION = "0.1.0"
@@ -77,6 +78,7 @@ class RunManifest:
         }
 
     def save(self) -> None:
-        with open(self.path, "w", encoding="utf-8") as fh:
-            json.dump(self.data, fh, indent=2, sort_keys=True, ensure_ascii=False)
-            fh.write("\n")
+        write_lines(
+            self.path,
+            [json.dumps(self.data, indent=2, sort_keys=True, ensure_ascii=False)],
+        )

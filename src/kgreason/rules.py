@@ -17,7 +17,6 @@ exactly when they share their head relation and body relation sequence.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional
 
+from .artifacts import read_records, write_records
 from .errors import DataError, UsageError
 from .kg import Triple, check_relation_name
 
@@ -179,60 +179,46 @@ def sort_stats(stats: Iterable[RuleStats]) -> list[RuleStats]:
     return sorted(stats, key=key)
 
 
-_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
-
-
 def write_rules(path: str | Path, stats: Iterable[RuleStats]) -> int:
     """Write one rule per line in the order given.  Returns the line count."""
-    count = 0
-    encode = _LINE_ENCODER.encode
-    with open(path, "w", encoding="utf-8") as fh:
-        for st in stats:
-            rule = st.rule
-            names = chain_vars(rule.hop)
-            conf = st.confidence
-            record = {
-                "rule": rule.rule_id,
-                "head": {"relation": rule.head_relation, "vars": [VAR_X, VAR_Y]},
-                "body": [
-                    {"relation": rel, "vars": [a, b]}
-                    for rel, a, b in zip(rule.body_relations, names, names[1:])
-                ],
-                "hop": rule.hop,
-                "support": st.support,
-                "body_count": st.body_count,
-                "confidence": float(conf) if conf is not None else None,
-            }
-            fh.write(encode(record))
-            fh.write("\n")
-            count += 1
-    return count
+
+    def record(st: RuleStats) -> dict:
+        rule = st.rule
+        names = chain_vars(rule.hop)
+        conf = st.confidence
+        return {
+            "rule": rule.rule_id,
+            "head": {"relation": rule.head_relation, "vars": [VAR_X, VAR_Y]},
+            "body": [
+                {"relation": rel, "vars": [a, b]}
+                for rel, a, b in zip(rule.body_relations, names, names[1:])
+            ],
+            "hop": rule.hop,
+            "support": st.support,
+            "body_count": st.body_count,
+            "confidence": float(conf) if conf is not None else None,
+        }
+
+    return write_records(path, map(record, stats))
 
 
 def read_rules(path: str | Path) -> list[RuleStats]:
     """Load a rules file.  Confidence is recomputed exactly from the counts."""
-    out: list[RuleStats] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                rule = Rule(
-                    record["head"]["relation"],
-                    tuple(a["relation"] for a in record["body"]),
-                )
-                stats = RuleStats(
-                    rule=rule,
-                    support=int(record["support"]),
-                    body_count=int(record["body_count"]),
-                )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise DataError(f"{path}: bad rule record on line {line_no}") from exc
-            if record.get("rule") not in (None, rule.rule_id):
-                raise DataError(
-                    f"{path}: rule id {record['rule']!r} does not match its atoms"
-                )
-            out.append(stats)
-    return out
+
+    def parse(record) -> RuleStats:
+        rule = Rule(
+            record["head"]["relation"],
+            tuple(a["relation"] for a in record["body"]),
+        )
+        stats = RuleStats(
+            rule=rule,
+            support=int(record["support"]),
+            body_count=int(record["body_count"]),
+        )
+        if record.get("rule") not in (None, rule.rule_id):
+            raise DataError(
+                f"{path}: rule id {record['rule']!r} does not match its atoms"
+            )
+        return stats
+
+    return read_records(path, "rule record", parse)

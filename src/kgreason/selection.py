@@ -14,7 +14,6 @@ applied at render time.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 from dataclasses import dataclass, field, replace
@@ -22,6 +21,7 @@ from pathlib import Path
 from string import ascii_lowercase, ascii_uppercase
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
+from .artifacts import read_records, write_lines, write_records
 from .client import VERDICT_KNOWN, VERDICT_UNDECIDED, VERDICT_UNKNOWN
 from .errors import DataError, UsageError
 from .kg import KnowledgeGraph, Triple
@@ -48,9 +48,6 @@ class SelectionPool:
     seed: int
     name_map: dict[int, str] = field(default_factory=dict)
     dropped: dict[str, int] = field(default_factory=dict)
-
-    def counts(self) -> dict[str, int]:
-        return {rid: len(insts) for rid, insts in sorted(self.per_rule.items())}
 
     def instances(self) -> Iterator[RuleInstance]:
         for rid in sorted(self.per_rule):
@@ -80,9 +77,7 @@ class AnonymizationMap:
         rows = sorted(
             (kg.entity_name(eid), name) for eid, name in self.entries.items()
         )
-        with open(path, "w", encoding="utf-8") as fh:
-            for original, synthetic in rows:
-                fh.write(f"{original}\t{synthetic}\n")
+        write_lines(path, (f"{original}\t{synthetic}" for original, synthetic in rows))
 
     @classmethod
     def load(cls, path: str | Path, kg: KnowledgeGraph) -> "AnonymizationMap":
@@ -340,20 +335,19 @@ def write_pool(path: str | Path, pool: SelectionPool, kg: KnowledgeGraph) -> int
             kg.entity_name(t.tail),
         ]
 
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in pool.instances():
-            record = {
+    return write_records(
+        path,
+        (
+            {
                 "rule": inst.rule.rule_id,
                 "setting": pool.setting,
                 "entities": [kg.entity_name(e) for e in inst.entities],
                 "body": [fact(t) for t in inst.body_facts],
                 "head": fact(inst.head_fact) if inst.head_fact else None,
             }
-            fh.write(json.dumps(record, separators=(",", ":"), ensure_ascii=False))
-            fh.write("\n")
-            count += 1
-    return count
+            for inst in pool.instances()
+        ),
+    )
 
 
 def read_pool(
@@ -362,43 +356,38 @@ def read_pool(
     seed: int = 0,
     name_map: Optional[Mapping[int, str]] = None,
 ) -> SelectionPool:
-    per_rule: dict[str, list[RuleInstance]] = {}
     setting: Optional[str] = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                rule = Rule.decode(record["rule"])
-                entities = tuple(kg.entity_id(e) for e in record["entities"])
-                body = tuple(
-                    Triple(kg.entity_id(h), kg.relation_id(r), kg.entity_id(t))
-                    for h, r, t in record["body"]
-                )
-                head = record["head"]
-                head_fact = (
-                    Triple(
-                        kg.entity_id(head[0]),
-                        kg.relation_id(head[1]),
-                        kg.entity_id(head[2]),
-                    )
-                    if head
-                    else None
-                )
-                line_setting = record["setting"]
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise DataError(f"{path}: bad pool record on line {line_no}") from exc
-            if setting is None:
-                setting = line_setting
-            elif setting != line_setting:
-                raise DataError(f"{path}: mixed settings in one pool file")
-            per_rule.setdefault(rule.rule_id, []).append(
-                RuleInstance(
-                    rule=rule, entities=entities, body_facts=body, head_fact=head_fact
-                )
+
+    def parse(record) -> RuleInstance:
+        nonlocal setting
+        rule = Rule.decode(record["rule"])
+        entities = tuple(kg.entity_id(e) for e in record["entities"])
+        body = tuple(
+            Triple(kg.entity_id(h), kg.relation_id(r), kg.entity_id(t))
+            for h, r, t in record["body"]
+        )
+        head = record["head"]
+        head_fact = (
+            Triple(
+                kg.entity_id(head[0]),
+                kg.relation_id(head[1]),
+                kg.entity_id(head[2]),
             )
+            if head
+            else None
+        )
+        line_setting = record["setting"]
+        if setting is None:
+            setting = line_setting
+        elif setting != line_setting:
+            raise DataError(f"{path}: mixed settings in one pool file")
+        return RuleInstance(
+            rule=rule, entities=entities, body_facts=body, head_fact=head_fact
+        )
+
+    per_rule: dict[str, list[RuleInstance]] = {}
+    for inst in read_records(path, "pool record", parse):
+        per_rule.setdefault(inst.rule.rule_id, []).append(inst)
     return SelectionPool(
         setting=setting or SETTING_ANONYMIZED,
         per_rule=per_rule,

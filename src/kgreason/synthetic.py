@@ -17,6 +17,8 @@ import random
 from pathlib import Path
 from typing import Iterable
 
+from .artifacts import write_lines
+
 # Relations of the planted world.  Per head relation h<i> there are two
 # alternative body pairs (a/b and g/k); the a-side decomposes further via
 # c = e.f and a = c.d, which is what makes composed rules minable.
@@ -117,9 +119,4 @@ def random_triples(
 
 
 def write_triples(path: str | Path, triples: Iterable[tuple[str, str, str]]) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for h, r, t in triples:
-            fh.write(f"{h}\t{r}\t{t}\n")
-            count += 1
-    return count
+    return write_lines(path, (f"{h}\t{r}\t{t}" for h, r, t in triples))

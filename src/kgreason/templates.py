@@ -14,7 +14,6 @@ matches those pieces around the entity mentions it finds in model outputs.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,8 +21,6 @@ from typing import Iterable, Optional
 
 from .errors import TemplateError
 from .kg import KnowledgeGraph, Triple
-
-logger = logging.getLogger(__name__)
 
 ENT1 = "<ENT1>"
 ENT2 = "<ENT2>"
@@ -170,12 +167,10 @@ class TemplateLibrary:
         self,
         relations: Optional[Iterable[RelationTemplate]] = None,
         questions: Optional[Iterable[QuestionTemplate]] = None,
-        allow_fallback: bool = True,
     ):
         self._relations: dict[str, RelationTemplate] = {}
         self._questions: dict[tuple[str, str], QuestionTemplate] = {}
         self._fallbacks: dict[str, RelationTemplate] = {}
-        self.allow_fallback = allow_fallback
         for rt in relations or ():
             self._relations[rt.relation] = rt
         for qt in questions or ():
@@ -194,15 +189,10 @@ class TemplateLibrary:
     def add_relation(self, template: RelationTemplate) -> None:
         self._relations[template.relation] = template
 
-    def add_question(self, template: QuestionTemplate) -> None:
-        self._questions[(template.relation, template.queried_side)] = template
-
     def relation(self, relation: str) -> RelationTemplate:
         found = self._relations.get(relation)
         if found is not None:
             return found
-        if not self.allow_fallback:
-            raise TemplateError(f"no template for relation {relation!r}")
         fallback = self._fallbacks.get(relation)
         if fallback is None:
             fallback = self._fallbacks[relation] = generic_relation_template(relation)
@@ -212,10 +202,6 @@ class TemplateLibrary:
         found = self._questions.get((relation, side))
         if found is not None:
             return found
-        if not self.allow_fallback:
-            raise TemplateError(
-                f"no question template for relation {relation!r}, side {side!r}"
-            )
         return generic_question_template(relation, side)
 
     def render_fact(self, kg: KnowledgeGraph, fact: Triple, name_of) -> str:
@@ -224,24 +210,11 @@ class TemplateLibrary:
         )
 
     # ------------------------------------------------------------------
-    # persistence: editable two and three column tab-separated files
-
-    def save(self, relations_path: str | Path, questions_path: str | Path) -> None:
-        with open(relations_path, "w", encoding="utf-8") as fh:
-            for rel in sorted(self._relations):
-                fh.write(f"{rel}\t{self._relations[rel].pattern}\n")
-        with open(questions_path, "w", encoding="utf-8") as fh:
-            for rel, side in sorted(self._questions):
-                fh.write(f"{rel}\t{side}\t{self._questions[(rel, side)].pattern}\n")
+    # persistence: an editable two-column tab-separated relations file
 
     @classmethod
-    def load(
-        cls,
-        relations_path: str | Path,
-        questions_path: Optional[str | Path] = None,
-        allow_fallback: bool = True,
-    ) -> "TemplateLibrary":
-        lib = cls(allow_fallback=allow_fallback)
+    def load(cls, relations_path: str | Path) -> "TemplateLibrary":
+        lib = cls()
         with open(relations_path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
@@ -253,18 +226,6 @@ class TemplateLibrary:
                         f"{relations_path}: expected 2 fields on line {line_no}"
                     )
                 lib.add_relation(RelationTemplate(fields[0], fields[1]))
-        if questions_path is not None:
-            with open(questions_path, "r", encoding="utf-8") as fh:
-                for line_no, line in enumerate(fh, start=1):
-                    line = line.rstrip("\n")
-                    if not line:
-                        continue
-                    fields = line.split("\t")
-                    if len(fields) != 3:
-                        raise TemplateError(
-                            f"{questions_path}: expected 3 fields on line {line_no}"
-                        )
-                    lib.add_question(QuestionTemplate(fields[0], fields[1], fields[2]))
         return lib
 
 

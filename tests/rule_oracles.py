@@ -7,7 +7,8 @@ atom by atom, with the variables numbered here rather than by
 of rules with `compose_rules` and deduplicates by `rule_id`, and the
 library order that compares `(-confidence, rule_id)` tuples.  They build
 far more objects than they keep, but their behaviour is the definition the
-fast paths must reproduce exactly.
+fast paths must reproduce exactly.  `all_triples` lists a graph's facts
+from its per-relation pairs, for tests that walk every fact.
 """
 
 from __future__ import annotations
@@ -17,7 +18,17 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from kgreason.kg import KnowledgeGraph, Triple
 from kgreason.rules import DEFAULT_MAX_HOP, Rule, RuleStats
+
+
+def all_triples(kg: KnowledgeGraph) -> list[Triple]:
+    """Every fact in canonical (head, relation, tail) order."""
+    return sorted(
+        Triple(h, r, t)
+        for r in range(kg.num_relations)
+        for h, t in kg.relation_pairs(r)
+    )
 
 
 def body_atoms(rule: Rule) -> list[tuple[str, str, str]]:

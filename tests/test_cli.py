@@ -514,6 +514,48 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "report.json").exists()
 
+    # One input of each stage, copied from the session pipeline with an
+    # invalid UTF-8 byte appended; every other input is the session's own.
+    BAD_UTF8 = {
+        "ingest-triples": (
+            "ingest", "triples.tsv", ["--triples", "{bad}", "--store", "out"],
+        ),
+        "mine-store": ("mine", "store.json", ["--store", "{bad}", "--out", "out"]),
+        "compose-rules": (
+            "compose", "rules.tsv",
+            ["--store", "{d}/store.json", "--rules", "{bad}", "--out", "out"],
+        ),
+        "explore-pool": (
+            "explore", "pool.tsv",
+            [
+                "--store", "{d}/store.json", "--pool", "{bad}", "--map",
+                "{d}/map.tsv", "--library", "{d}/library.tsv", "--samples", "out",
+                "--seed", "5",
+            ],
+        ),
+        "evaluate-predictions": (
+            "evaluate", "preds.jsonl",
+            [
+                "--store", "{d}/store.json", "--library", "{d}/library.tsv",
+                "--splits", "{d}/splits.json", "--samples", "{d}/samples.jsonl",
+                "{d}/trial_samples.jsonl", "--predictions", "{bad}",
+                "--map", "{d}/trial_map.tsv", "--report", "out",
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_UTF8))
+    def test_invalid_utf8_is_data_error(self, pipeline_dir, tmp_path, case):
+        stage, name, template = self.BAD_UTF8[case]
+        bad = tmp_path / name
+        bad.write_bytes((pipeline_dir / name).read_bytes() + b"\xff\n")
+        args = [arg.format(d=pipeline_dir, bad=bad) for arg in template]
+        proc = run_cli(tmp_path, stage, *args, check=False)
+        assert proc.returncode == 2, proc.stderr
+        assert "data error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_client_error_maps_to_exit_3(self, monkeypatch, capsys):
         def boom(ns):
             raise ClientError("endpoint returned 500")

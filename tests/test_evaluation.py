@@ -32,7 +32,6 @@ from kgreason.evaluation import (
     build_splits,
     classify_error,
     exact_match_score,
-    extract_prediction,
     normalize_entity,
     read_predictions,
     read_splits,
@@ -133,6 +132,10 @@ class TestNormalize:
         assert normalize_entity(" New  York ") == normalize_entity("new york")
         assert normalize_entity("Wcsa") == "wcsa"
         assert normalize_entity("a") != normalize_entity("b")
+
+
+def extract_prediction(raw: str, names: list[str]):
+    return OutputParser([], names, TemplateLibrary()).extract_prediction(raw)
 
 
 class TestExtractPrediction:

@@ -200,13 +200,6 @@ class TestOrderCandidates:
         assert order_candidates(lib, "citizen_of") == [RULE_GOOD]
         assert order_candidates(lib, "lives_in") == []
 
-    def test_custom_policy_overrides_default(self):
-        lib = [stats_for(RULE_STALL, 7, 10), stats_for(RULE_GOOD, 9, 10)]
-        by_id = order_candidates(
-            lib, "citizen_of", policy=lambda st: (st.rule.rule_id,)
-        )
-        assert by_id == sorted([RULE_GOOD, RULE_STALL], key=lambda r: r.rule_id)
-
 
 class TestGroundChain:
     def test_forward_success(self):

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from conftest import kg_from
+from rule_oracles import all_triples
 from kgreason.errors import UsageError
 from kgreason.generation import (
     CORPUS_VERSIONS,
@@ -215,7 +216,7 @@ class TestCorpus:
         kg = self.corpus_kg(n_facts)
         hub = kg.entity_id("hub")
         return kg, build_corpus(
-            kg, hub, list(kg.triples()), TemplateLibrary.builtin(),
+            kg, hub, all_triples(kg), TemplateLibrary.builtin(),
             kg.entity_name, seed,
         )
 

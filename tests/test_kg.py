@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kg_from, random_triples
+from rule_oracles import all_triples
 from kgreason.errors import DataError, IngestError, UnknownSymbolError
 from kgreason.kg import KnowledgeGraph
 
@@ -103,7 +104,7 @@ class TestOrderIndependence:
         rnd.shuffle(shuffled)
         kg1 = kg_from(triples)
         kg2 = kg_from(shuffled)
-        assert list(kg1.triples()) == list(kg2.triples())
+        assert all_triples(kg1) == all_triples(kg2)
         for e in range(kg1.num_entities):
             assert kg1.out_edges(e) == kg2.out_edges(e)
             for r in range(kg1.num_relations):
@@ -127,7 +128,7 @@ class TestPersistence:
         path = tmp_path / "store.json"
         score_kg.save(path)
         loaded = KnowledgeGraph.load(path)
-        assert list(loaded.triples()) == list(score_kg.triples())
+        assert all_triples(loaded) == all_triples(score_kg)
         assert loaded.entity_names() == score_kg.entity_names()
         assert loaded.relation_names() == score_kg.relation_names()
 
@@ -184,7 +185,7 @@ class TestPersistence:
         loaded = KnowledgeGraph.load(shuffled)
         assert loaded.entity_names() == entities
         assert loaded.relation_names() == relations
-        assert list(loaded.triples()) == list(kg.triples())
+        assert all_triples(loaded) == all_triples(kg)
         resaved = tmp_path / "resaved.json"
         loaded.save(resaved)
         assert resaved.read_bytes() == canonical.read_bytes()
@@ -283,7 +284,7 @@ def assert_matches_oracle(kg, facts):
     assert kg.entity_names() == entities
     assert kg.relation_names() == relations
     assert kg.num_triples == len(facts)
-    named = [(ent(t.head), rel(t.relation), ent(t.tail)) for t in kg.triples()]
+    named = [(ent(t.head), rel(t.relation), ent(t.tail)) for t in all_triples(kg)]
     assert named == sorted(facts)
     for r in relations:
         rid = kg.relation_id(r)

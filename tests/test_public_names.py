@@ -2,9 +2,11 @@
 
 A public function, class or method that nothing in ``src/kgreason`` names
 is code only tests call.  It either moves into the test oracle that needs
-it or goes.  A name counts as used when it appears anywhere in the
-package as a name, an attribute or an import, outside its own ``def`` or
-``class`` line.
+it or goes.  A function or class counts as used when it appears anywhere in
+the package as a name, an attribute or an import, outside its own ``def`` or
+``class`` line.  A method counts as used only where it is accessed as an
+attribute (``x.method``), so a local variable or a parameter of the same
+name does not hide it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ ALLOWED = {
     "name_alternation",
     # perfbench/tracer.py reads it from each explore() result.
     "ExplorationTrace.trials",
+    # perfbench/tracer.py counts pool instances with select_pipeline's
+    # result[0].size().
+    "SelectionPool.size",
 }
 
 
@@ -48,17 +53,18 @@ def definitions(tree: ast.Module) -> list[tuple[str, str]]:
     return found
 
 
-def named(tree: ast.Module) -> set[str]:
-    """Every identifier the module mentions."""
-    names = set()
+def named(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """Every identifier the module mentions, and those it reads as an
+    attribute."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
-    return names
+    return names | attributes, attributes
 
 
 def unused_public_names(package: Path = PACKAGE) -> list[str]:
@@ -66,13 +72,18 @@ def unused_public_names(package: Path = PACKAGE) -> list[str]:
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(package.glob("*.py"))
     }
-    used = set().union(*(named(tree) for tree in trees.values()))
+    used, as_attribute = set(), set()
+    for tree in trees.values():
+        names, attributes = named(tree)
+        used |= names
+        as_attribute |= attributes
     unused = []
     for module, tree in trees.items():
         for qualified, bare in definitions(tree):
             if module == "cli.py" and bare.startswith("cmd_"):
                 continue  # the stage table dispatches these by name
-            if bare not in used and qualified not in ALLOWED:
+            seen = as_attribute if "." in qualified else used
+            if bare not in seen and qualified not in ALLOWED:
                 unused.append(f"{module}: {qualified}")
     return unused
 
@@ -88,3 +99,19 @@ def test_guard_sees_a_name_only_tests_would_call(tmp_path):
         encoding="utf-8",
     )
     assert unused_public_names(tmp_path) == ["orphan.py: Box", "orphan.py: Box.size"]
+
+
+def test_guard_sees_a_method_named_only_as_a_local(tmp_path):
+    (tmp_path / "shadow.py").write_text(
+        "class Box:\n"
+        "    def total(self):\n"
+        "        return 1\n\n"
+        "    def width(self):\n"
+        "        return 2\n\n\n"
+        "def measure(box):\n"
+        "    total = 3\n"
+        "    return total + box.width()\n\n\n"
+        "VALUE = measure(Box())\n",
+        encoding="utf-8",
+    )
+    assert unused_public_names(tmp_path) == ["shadow.py: Box.total"]

@@ -41,6 +41,10 @@ def chain_instance(rule: Rule, start: int, head_present=True) -> RuleInstance:
     return RuleInstance(rule, entities, body, head)
 
 
+def rule_counts(pool) -> dict[str, int]:
+    return {rid: len(insts) for rid, insts in pool.per_rule.items()}
+
+
 RULE_A = Rule("ra", ("p", "q"))
 RULE_B = Rule("rb", ("p", "q"))
 
@@ -61,7 +65,7 @@ class TestBalance:
         pool = balance_instances(
             make_per_rule({RULE_A: 5, RULE_B: 3}), 3, 0, SETTING_ANONYMIZED
         )
-        assert pool.counts() == {RULE_A.rule_id: 3, RULE_B.rule_id: 3}
+        assert rule_counts(pool) == {RULE_A.rule_id: 3, RULE_B.rule_id: 3}
 
     def test_rule_below_n_dropped(self, caplog):
         import logging
@@ -70,7 +74,7 @@ class TestBalance:
             pool = balance_instances(
                 make_per_rule({RULE_A: 5, RULE_B: 2}), 3, 0, SETTING_ANONYMIZED
             )
-        assert pool.counts() == {RULE_A.rule_id: 3}
+        assert rule_counts(pool) == {RULE_A.rule_id: 3}
         assert pool.dropped["balance_rules_dropped"] == 1
         assert any("rb" in rec.message for rec in caplog.records)
 
@@ -133,7 +137,7 @@ class TestLeakage:
             make_per_rule({RULE_A: 3, RULE_B: 3}), 2, 0, SETTING_ANONYMIZED
         )
         filtered = leakage_filter(pool)
-        assert filtered.counts() == pool.counts()
+        assert rule_counts(filtered) == rule_counts(pool)
 
     def test_rebalance_drops_to_min(self):
         pool = balance_instances(
@@ -146,8 +150,8 @@ class TestLeakage:
             name_map=pool.name_map, dropped=pool.dropped,
         )
         rebalanced = rebalance_min(pool)
-        assert rebalanced.counts() == {RULE_A.rule_id: 2, RULE_B.rule_id: 2}
-        assert len(set(rebalanced.counts().values())) <= 1
+        assert rule_counts(rebalanced) == {RULE_A.rule_id: 2, RULE_B.rule_id: 2}
+        assert len(set(rule_counts(rebalanced).values())) <= 1
 
     def test_rebalance_drops_empty_rules(self):
         pool = balance_instances(
@@ -161,7 +165,7 @@ class TestLeakage:
         )
         rebalanced = rebalance_min(pool)
         assert set(rebalanced.per_rule) == {RULE_A.rule_id}
-        assert rebalanced.counts()[RULE_A.rule_id] == 3
+        assert rule_counts(rebalanced)[RULE_A.rule_id] == 3
 
 
 class TestProbe:
@@ -320,7 +324,7 @@ class TestPipelineAndFiles:
 
     def test_pipeline_balanced_and_leak_free(self):
         kg, pool, mapping = self.mined_pool()
-        assert len(set(pool.counts().values())) <= 1
+        assert len(set(rule_counts(pool).values())) <= 1
         heads = {i.head_fact for i in pool.instances()}
         assert not heads & pool.body_fact_union()
         assert mapping is not None
@@ -348,6 +352,6 @@ class TestPipelineAndFiles:
     @given(st.integers(0, 2**30))
     def test_pipeline_invariants_random(self, seed):
         kg, pool, _ = self.mined_pool(seed=seed)
-        assert len(set(pool.counts().values())) <= 1
+        assert len(set(rule_counts(pool).values())) <= 1
         heads = {i.head_fact for i in pool.instances()}
         assert not heads & pool.body_fact_union()
