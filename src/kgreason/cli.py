@@ -47,8 +47,8 @@ logger = logging.getLogger(__name__)
 
 PROG = "kgreason"
 
-# Copies of selection.SETTINGS and explore.ORACLE_KG / ORACLE_PROBE, so that
-# building the parser imports neither module; a test pins them equal.
+# A copy of selection.SETTINGS, so that building the parser does not import
+# selection; a test pins them equal.  The oracle names live only here.
 SETTING_ANONYMIZED = "anonymized"
 SETTING_REGULAR = "regular"
 SETTINGS = (SETTING_ANONYMIZED, SETTING_REGULAR)

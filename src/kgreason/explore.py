@@ -18,14 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
 from .client import VERDICT_KNOWN
 from .errors import UsageError
 from .generation import (
     ReasoningSample,
-    chain_sentences,
-    conclusion_text,
+    chain_answer,
     query_entities,
     render_question,
     sample_id_for,
@@ -41,9 +41,6 @@ from .templates import SIDE_OBJECT, SIDE_SUBJECT, TemplateLibrary
 OUTCOME_SUCCESS = "success"
 OUTCOME_EXHAUSTED = "exhausted"
 
-ORACLE_KG = "kg"
-ORACLE_PROBE = "probe"
-
 
 # ----------------------------------------------------------------------
 # fact oracles
@@ -54,8 +51,6 @@ class KgFactOracle:
     Neighbor queries take only relation ids from ``relation_id`` and return
     the graph's own lists, which callers must not mutate.
     """
-
-    kind = ORACLE_KG
 
     def __init__(self, kg: KnowledgeGraph):
         self.kg = kg
@@ -77,8 +72,6 @@ class ProbeFactOracle:
     is treated as not known.  Verdicts are cached for the run.  Relation
     ids must come from ``relation_id``, as for ``KgFactOracle``.
     """
-
-    kind = ORACLE_PROBE
 
     def __init__(self, kg: KnowledgeGraph, probe: Callable[[Triple], str]):
         self.kg = kg
@@ -112,20 +105,12 @@ def probe_from_client(kg: KnowledgeGraph, library: TemplateLibrary, client, name
     if name_of is None:
         name_of = kg.entity_name
     def probe(fact: Triple) -> str:
-        sentence = library.relation(kg.relation_name(fact.relation)).render(
-            name_of(fact.head), name_of(fact.tail)
-        )
-        return client.probe_fact(sentence)
+        return client.probe_fact(library.render_fact(kg, fact, name_of))
     return probe
 
 
 # ----------------------------------------------------------------------
 # trace structure
-
-@dataclass(frozen=True)
-class TryRule:
-    rule: Rule
-
 
 @dataclass(frozen=True)
 class MissingFact:
@@ -159,7 +144,9 @@ class ExplorationTrace:
     """Ordered record of one exploration run.
 
     ``known_side`` names the chain end that was given: ``subject`` walks
-    forward from X toward Y, ``object`` backward from Y toward X.
+    forward from X toward Y, ``object`` backward from Y toward X.  Each
+    trial is one step: a ``MissingFact`` for each abandoned rule, then a
+    ``Conclude`` when a rule grounds.
     """
 
     head_relation: str
@@ -170,7 +157,7 @@ class ExplorationTrace:
 
     @property
     def trials(self) -> int:
-        return sum(1 for s in self.steps if isinstance(s, TryRule))
+        return len(self.steps)
 
     @property
     def error_count(self) -> int:
@@ -178,9 +165,8 @@ class ExplorationTrace:
 
     @property
     def conclusion(self) -> Optional[Conclude]:
-        for step in reversed(self.steps):
-            if isinstance(step, Conclude):
-                return step
+        if self.steps and isinstance(self.steps[-1], Conclude):
+            return self.steps[-1]
         return None
 
     def entity_ids(self) -> set[int]:
@@ -196,9 +182,8 @@ class ExplorationTrace:
     def to_record(self, name_of: Callable[[int], str]) -> dict:
         steps = []
         for step in self.steps:
-            if isinstance(step, TryRule):
-                steps.append({"type": "try_rule", "rule": step.rule.rule_id})
-            elif isinstance(step, MissingFact):
+            steps.append({"type": "try_rule", "rule": step.rule.rule_id})
+            if isinstance(step, MissingFact):
                 subject, relation, obj = step.missing_fact(self.known_side)
                 prefix = _grounded_facts(step.rule, step.grounded, self.known_side)
                 steps.append(
@@ -216,7 +201,7 @@ class ExplorationTrace:
                         ],
                     }
                 )
-            elif isinstance(step, Conclude):
+            else:
                 steps.append(
                     {
                         "type": "conclude",
@@ -309,8 +294,16 @@ def explore(
     candidates: Sequence[Rule],
     oracle,
     max_trials: Optional[int] = None,
+    ensure_error: bool = False,
 ) -> ExplorationTrace:
-    """Try candidate rules in order until one concludes or trials run out."""
+    """Try candidate rules in order until one concludes or trials run out.
+
+    With ``ensure_error`` the trace is shaped for training data: when some
+    candidates ground and some do not, the first that does not is tried
+    first and then only those that do, so the trace shows an error followed
+    by a successful switch.  Each candidate is grounded at most once, and
+    the trial cap applies after that reordering.
+    """
     if known_side not in (SIDE_SUBJECT, SIDE_OBJECT):
         raise UsageError(f"known side must be subject or object: {known_side!r}")
     for rule in candidates:
@@ -318,54 +311,31 @@ def explore(
             raise UsageError(
                 f"candidate {rule.rule_id} does not answer {head_relation!r}"
             )
-    cap = len(candidates) if max_trials is None else max_trials
-    if cap < 0:
+    if max_trials is not None and max_trials < 0:
         raise UsageError(f"max trials must be >= 0, got {max_trials}")
+    # (rule, solution, failure) per candidate, grounded when first needed.
+    attempts: Iterable = (
+        (rule, *_ground_chain(rule, known, known_side, oracle)) for rule in candidates
+    )
+    if ensure_error:
+        attempts = list(attempts)
+        failed = [a for a in attempts if a[1] is None]
+        grounded = [a for a in attempts if a[1] is not None]
+        if failed and grounded:
+            attempts = [failed[0], *grounded]
     steps: list = []
-    for rule in candidates[:cap]:
-        steps.append(TryRule(rule))
-        solution, failure = _ground_chain(rule, known, known_side, oracle)
-        if solution is not None:
-            answer = solution[-1] if known_side == SIDE_SUBJECT else solution[0]
-            steps.append(Conclude(rule=rule, entities=solution, answer=answer))
-            return ExplorationTrace(
-                head_relation, known, known_side, tuple(steps), OUTCOME_SUCCESS
-            )
-        steps.append(failure)
+    for rule, solution, failure in islice(attempts, max_trials):
+        if solution is None:
+            steps.append(failure)
+            continue
+        answer = solution[-1] if known_side == SIDE_SUBJECT else solution[0]
+        steps.append(Conclude(rule=rule, entities=solution, answer=answer))
+        return ExplorationTrace(
+            head_relation, known, known_side, tuple(steps), OUTCOME_SUCCESS
+        )
     return ExplorationTrace(
         head_relation, known, known_side, tuple(steps), OUTCOME_EXHAUSTED
     )
-
-
-def synthesize_trace(
-    head_relation: str,
-    known: int,
-    known_side: str,
-    candidates: Sequence[Rule],
-    oracle,
-    max_trials: Optional[int] = None,
-    ensure_error: bool = True,
-) -> ExplorationTrace:
-    """Exploration for training data, preferring traces that show recovery.
-
-    When both an unsupported and a supported candidate exist for the query,
-    one unsupported candidate is deliberately placed first so the trace
-    demonstrates an error followed by a successful switch.  With no
-    unsupported candidate the trace is error free; with no supported one
-    the exploration exhausts as usual.
-    """
-    if not ensure_error:
-        return explore(head_relation, known, known_side, candidates, oracle, max_trials)
-    supported: list[Rule] = []
-    unsupported: list[Rule] = []
-    for rule in candidates:
-        solution, _ = _ground_chain(rule, known, known_side, oracle)
-        (supported if solution is not None else unsupported).append(rule)
-    if supported and unsupported:
-        ordering: Sequence[Rule] = [unsupported[0], *supported]
-    else:
-        ordering = candidates
-    return explore(head_relation, known, known_side, ordering, oracle, max_trials)
 
 
 # ----------------------------------------------------------------------
@@ -400,33 +370,17 @@ def render_trace(
     if trace.outcome != OUTCOME_SUCCESS:
         raise UsageError("only successful traces can be rendered")
     conclude = trace.conclusion
-    assert conclude is not None
-
-    def conclusion_part() -> str:
-        sentences = chain_sentences(
-            conclude.rule.body_relations, conclude.entities, library, name_of
-        )
-        tail = conclusion_text(
-            conclude.rule.head_relation,
-            conclude.entities[0],
-            conclude.entities[-1],
-            conclude.answer,
-            library,
-            name_of,
-        )
-        return " ".join(sentences + [tail])
-
+    answer = chain_answer(
+        conclude.rule, conclude.entities, conclude.answer, library, name_of
+    )
     if trace.error_count == 0:
-        return conclusion_part()
+        return answer
 
     parts: list[str] = []
-    first = True
-    for step in trace.steps:
-        if isinstance(step, TryRule):
-            tpl = TRY_FIRST if first else TRY_NEXT
-            parts.append(tpl.format(formula=step.rule.formula()))
-            first = False
-        elif isinstance(step, MissingFact):
+    for i, step in enumerate(trace.steps):
+        tpl = TRY_NEXT if i else TRY_FIRST
+        parts.append(tpl.format(formula=step.rule.formula()))
+        if isinstance(step, MissingFact):
             phrase = NOT_APPLICABLE.format(
                 what=_missing_phrase(step, trace.known_side, name_of)
             )
@@ -440,8 +394,7 @@ def render_trace(
                 parts.append(f"{lead}, but {phrase}")
             else:
                 parts.append(phrase[0].upper() + phrase[1:])
-        else:
-            parts.append(conclusion_part())
+    parts.append(answer)
     return " ".join(parts)
 
 
@@ -487,7 +440,7 @@ def explore_samples(
             by_head[head_rel] = candidates
         known, asked = query_entities(inst, side)
         known_side = SIDE_SUBJECT if side == SIDE_OBJECT else SIDE_OBJECT
-        trace = synthesize_trace(
+        trace = explore(
             head_rel, known, known_side, candidates, oracle, max_trials, ensure_error
         )
         if trace.outcome != OUTCOME_SUCCESS:

@@ -15,12 +15,12 @@ import logging
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .artifacts import read_records, write_records
 from .errors import TemplateError, UsageError
 from .kg import KnowledgeGraph, Triple
-from .rules import RuleInstance
+from .rules import Rule, RuleInstance
 from .seeding import derive_seed
 from .selection import SelectionPool
 from .templates import (
@@ -86,48 +86,25 @@ def render_question(
     return template.render(name_of(given))
 
 
-def body_sentences(
-    kg: KnowledgeGraph,
-    facts: Iterable[Triple],
-    library: TemplateLibrary,
-    name_of: Callable[[int], str],
-) -> list[str]:
-    return [
-        library.relation(kg.relation_name(f.relation)).render(
-            name_of(f.head), name_of(f.tail)
-        )
-        for f in facts
-    ]
-
-
-def chain_sentences(
-    relations: Iterable[str],
-    entities: Iterable[int],
-    library: TemplateLibrary,
-    name_of: Callable[[int], str],
-) -> list[str]:
-    """Sentences for a grounded relation chain given by name, one per hop."""
-    entities = list(entities)
-    return [
-        library.relation(rel).render(name_of(entities[i]), name_of(entities[i + 1]))
-        for i, rel in enumerate(relations)
-    ]
-
-
-def conclusion_text(
-    head_relation: str,
-    subject: int,
-    obj: int,
+def chain_answer(
+    rule: Rule,
+    entities: Sequence[int],
     answer: int,
     library: TemplateLibrary,
     name_of: Callable[[int], str],
 ) -> str:
-    """Hedged conclusion plus the fixed terminal answer sentence."""
-    clause = library.relation(head_relation).possibility_clause(
-        name_of(subject), name_of(obj)
+    """Body facts in chain order, hedged conclusion, terminal answer."""
+    names = [name_of(e) for e in entities]
+    sentences = [
+        library.relation(rel).render(names[i], names[i + 1])
+        for i, rel in enumerate(rule.body_relations)
+    ]
+    clause = library.relation(rule.head_relation).possibility_clause(
+        names[0], names[-1]
     )
     terminal = ANSWER_SENTENCE.format(name=name_of(answer))
-    return f"{CONCLUSION_PREFIX}{clause}. {terminal}"
+    sentences.append(f"{CONCLUSION_PREFIX}{clause}. {terminal}")
+    return " ".join(sentences)
 
 
 def validated_polish(polisher, text: str, required_names: Iterable[str]) -> str:
@@ -152,20 +129,9 @@ def render_chain_answer(
     query_side: str = SIDE_OBJECT,
     polisher=None,
 ) -> str:
-    """Body facts in chain order, hedged conclusion, terminal answer."""
-    sentences = chain_sentences(
-        instance.rule.body_relations, instance.entities, library, name_of
-    )
+    """The chain answer for an instance, asking about ``query_side``."""
     _, asked = query_entities(instance, query_side)
-    tail = conclusion_text(
-        instance.rule.head_relation,
-        instance.subject,
-        instance.object,
-        asked,
-        library,
-        name_of,
-    )
-    text = " ".join(sentences + [tail])
+    text = chain_answer(instance.rule, instance.entities, asked, library, name_of)
     required = [name_of(e) for e in instance.entities]
     return validated_polish(polisher, text, required)
 
@@ -314,7 +280,7 @@ def build_corpus(
         chunk = ordered[chunk_idx : chunk_idx + CORPUS_CHUNK_SIZE]
         if not chunk:
             break
-        sentences = body_sentences(kg, chunk, library, name_of)
+        sentences = [library.render_fact(kg, f, name_of) for f in chunk]
         names = sorted(
             {name_of(f.head) for f in chunk} | {name_of(f.tail) for f in chunk}
         )

@@ -361,28 +361,28 @@ def read_pool(
     def parse(record) -> RuleInstance:
         nonlocal setting
         rule = Rule.decode(record["rule"])
-        entities = tuple(kg.entity_id(e) for e in record["entities"])
-        body = tuple(
-            Triple(kg.entity_id(h), kg.relation_id(r), kg.entity_id(t))
-            for h, r, t in record["body"]
-        )
-        head = record["head"]
-        head_fact = (
-            Triple(
-                kg.entity_id(head[0]),
-                kg.relation_id(head[1]),
-                kg.entity_id(head[2]),
-            )
-            if head
-            else None
-        )
+        names = record["entities"]
+        if len(names) != rule.hop + 1:
+            raise ValueError("entity count does not fit the rule")
+        body = [list(f) for f in zip(names, rule.body_relations, names[1:])]
+        if record["body"] != body or record["head"] != [
+            names[0], rule.head_relation, names[-1]
+        ]:
+            raise ValueError("body or head does not follow from rule and entities")
+        entities = tuple(kg.entity_id(e) for e in names)
+        rel_ids = [kg.relation_id(r) for r in rule.body_relations]
         line_setting = record["setting"]
         if setting is None:
             setting = line_setting
         elif setting != line_setting:
             raise DataError(f"{path}: mixed settings in one pool file")
         return RuleInstance(
-            rule=rule, entities=entities, body_facts=body, head_fact=head_fact
+            rule=rule,
+            entities=entities,
+            body_facts=tuple(map(Triple, entities, rel_ids, entities[1:])),
+            head_fact=Triple(
+                entities[0], kg.relation_id(rule.head_relation), entities[-1]
+            ),
         )
 
     per_rule: dict[str, list[RuleInstance]] = {}

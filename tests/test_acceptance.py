@@ -26,7 +26,6 @@ from kgreason.explore import (
     MissingFact,
     OUTCOME_EXHAUSTED,
     OUTCOME_SUCCESS,
-    TryRule,
     explore,
     order_candidates,
 )
@@ -343,7 +342,7 @@ def test_criterion_5_explore_soundness(capsys):
             problems.append("more trials than candidates")
             return
         missing_steps = [s for s in trace.steps if isinstance(s, MissingFact)]
-        tried = [s for s in trace.steps if isinstance(s, TryRule)]
+        tried = list(trace.steps)
         if trace.error_count != len(missing_steps):
             problems.append("error_count mismatch")
         if sum(s.rule.hop for s in tried) != sum(len(s.rule.body_relations) for s in tried):
@@ -395,7 +394,7 @@ def test_criterion_5_explore_soundness(capsys):
             exhausted += 1
             if trace.trials != len(cands):
                 problems.append("gave up before trying every candidate")
-            if len(trace.steps) != 2 * trace.trials:
+            if len(missing_steps) != trace.trials:
                 problems.append("exhausted trace has unexpected steps")
 
     for head, known, known_side in queries:

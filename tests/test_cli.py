@@ -556,6 +556,33 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("stage", ["generate", "explore"])
+    @pytest.mark.parametrize("edit", ["body-tail", "null-head"])
+    def test_pool_facts_must_follow_rule_and_entities(
+        self, pipeline_dir, tmp_path, stage, edit
+    ):
+        lines = (pipeline_dir / "pool.tsv").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        if edit == "body-tail":
+            assert record["body"][-1][2] != record["entities"][0]
+            record["body"][-1][2] = record["entities"][0]
+        else:
+            record["head"] = None
+        lines[0] = json.dumps(record)
+        (tmp_path / "pool.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = [
+            "--store", f"{pipeline_dir}/store.json", "--pool", "pool.tsv",
+            "--map", f"{pipeline_dir}/map.tsv", "--samples", "out", "--seed", "5",
+        ]
+        if stage == "explore":
+            args += ["--library", f"{pipeline_dir}/library.tsv"]
+        proc = run_cli(tmp_path, stage, *args, check=False)
+        assert proc.returncode == 2, proc.stderr
+        assert "data error" in proc.stderr
+        assert "line 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_client_error_maps_to_exit_3(self, monkeypatch, capsys):
         def boom(ns):
             raise ClientError("endpoint returned 500")
@@ -729,16 +756,12 @@ class TestStageImports:
     """Building the parser imports no stage module a command may not use."""
 
     def test_parser_choices_match_their_modules(self):
-        from kgreason import explore, selection
+        from kgreason import selection
 
         assert cli.SETTINGS == selection.SETTINGS
         assert (cli.SETTING_ANONYMIZED, cli.SETTING_REGULAR) == (
             selection.SETTING_ANONYMIZED,
             selection.SETTING_REGULAR,
-        )
-        assert (cli.ORACLE_KG, cli.ORACLE_PROBE) == (
-            explore.ORACLE_KG,
-            explore.ORACLE_PROBE,
         )
 
     LAZY = (

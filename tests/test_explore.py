@@ -17,6 +17,7 @@ from kgreason.client import (
     VERDICT_UNDECIDED,
     mock_client,
 )
+from kgreason import explore as explore_module
 from kgreason.errors import UsageError
 from kgreason.explore import (
     Conclude,
@@ -26,14 +27,12 @@ from kgreason.explore import (
     OUTCOME_EXHAUSTED,
     OUTCOME_SUCCESS,
     ProbeFactOracle,
-    TryRule,
     _ground_chain,
     explore,
     explore_samples,
     order_candidates,
     probe_from_client,
     render_trace,
-    synthesize_trace,
 )
 from kgreason.generation import render_chain_answer, sample_id_for
 from kgreason.kg import Triple
@@ -304,10 +303,10 @@ class TestExplore:
         )
         assert trace.outcome == OUTCOME_SUCCESS
         shapes = [type(s) for s in trace.steps]
-        assert shapes == [TryRule, MissingFact, TryRule, Conclude]
+        assert shapes == [MissingFact, Conclude]
         assert trace.trials == 2
         assert trace.error_count == 1
-        assert sum(s.rule.hop for s in trace.steps if isinstance(s, TryRule)) == 4
+        assert sum(s.rule.hop for s in trace.steps) == 4
         conclude = trace.conclusion
         assert conclude.rule == RULE_GOOD
         assert conclude.answer == kg.entity_id("vevedgta")
@@ -321,9 +320,9 @@ class TestExplore:
             [RULE_GOOD],
             KgFactOracle(kg),
         )
-        assert [type(s) for s in trace.steps] == [TryRule, Conclude]
+        assert [type(s) for s in trace.steps] == [Conclude]
         assert trace.error_count == 0
-        assert sum(s.rule.hop for s in trace.steps if isinstance(s, TryRule)) == 2
+        assert sum(s.rule.hop for s in trace.steps) == 2
 
     def test_trial_cap_exhausts(self):
         kg = citizen_kg()
@@ -336,7 +335,7 @@ class TestExplore:
             max_trials=1,
         )
         assert trace.outcome == OUTCOME_EXHAUSTED
-        assert [type(s) for s in trace.steps] == [TryRule, MissingFact]
+        assert [type(s) for s in trace.steps] == [MissingFact]
         assert trace.trials == 1
         assert trace.conclusion is None
 
@@ -390,28 +389,30 @@ class TestExplore:
 
 
 class TestSynthesizeTrace:
+    """Training-data traces: ``explore`` with ``ensure_error``."""
+
     def args(self):
         kg = citizen_kg()
         return kg, kg.entity_id("anykid"), KgFactOracle(kg)
 
     def test_prepends_one_unsupported_candidate(self):
         kg, a, oracle = self.args()
-        trace = synthesize_trace(
-            "citizen_of", a, SIDE_SUBJECT, [RULE_GOOD, RULE_STALL], oracle
+        trace = explore(
+            "citizen_of",
+            a,
+            SIDE_SUBJECT,
+            [RULE_GOOD, RULE_STALL],
+            oracle,
+            ensure_error=True,
         )
         assert trace.outcome == OUTCOME_SUCCESS
-        assert [type(s) for s in trace.steps] == [
-            TryRule,
-            MissingFact,
-            TryRule,
-            Conclude,
-        ]
+        assert [type(s) for s in trace.steps] == [MissingFact, Conclude]
         assert trace.steps[0].rule == RULE_STALL
         assert trace.conclusion.rule == RULE_GOOD
 
     def test_ensure_error_off_keeps_given_order(self):
         kg, a, oracle = self.args()
-        trace = synthesize_trace(
+        trace = explore(
             "citizen_of",
             a,
             SIDE_SUBJECT,
@@ -419,20 +420,46 @@ class TestSynthesizeTrace:
             oracle,
             ensure_error=False,
         )
-        assert [type(s) for s in trace.steps] == [TryRule, Conclude]
+        assert [type(s) for s in trace.steps] == [Conclude]
         assert trace.error_count == 0
 
     def test_no_unsupported_candidate_gives_clean_trace(self):
         kg, a, oracle = self.args()
-        trace = synthesize_trace("citizen_of", a, SIDE_SUBJECT, [RULE_GOOD], oracle)
+        trace = explore(
+            "citizen_of", a, SIDE_SUBJECT, [RULE_GOOD], oracle, ensure_error=True
+        )
         assert trace.error_count == 0
         assert trace.outcome == OUTCOME_SUCCESS
 
     def test_no_supported_candidate_exhausts(self):
         kg, a, oracle = self.args()
-        trace = synthesize_trace("citizen_of", a, SIDE_SUBJECT, [RULE_STALL], oracle)
+        trace = explore(
+            "citizen_of", a, SIDE_SUBJECT, [RULE_STALL], oracle, ensure_error=True
+        )
         assert trace.outcome == OUTCOME_EXHAUSTED
         assert trace.error_count == 1
+
+    def test_grounds_each_candidate_once(self, monkeypatch):
+        kg, a, oracle = self.args()
+        grounded = []
+        inner = explore_module._ground_chain
+
+        def counting(rule, *args):
+            grounded.append(rule)
+            return inner(rule, *args)
+
+        monkeypatch.setattr(explore_module, "_ground_chain", counting)
+        other = Rule("citizen_of", ("part_of", "no_such_relation"))
+        trace = explore(
+            "citizen_of",
+            a,
+            SIDE_SUBJECT,
+            [RULE_GOOD, RULE_STALL, other],
+            oracle,
+            ensure_error=True,
+        )
+        assert [s.rule for s in trace.steps] == [RULE_STALL, RULE_GOOD]
+        assert grounded == [RULE_GOOD, RULE_STALL, other]
 
 
 class TestRenderTrace:
