@@ -1,9 +1,12 @@
-"""How every artifact reaches disk, and how JSON-lines files are read back.
+"""How every artifact reaches disk, and how every text input is read.
 
 An artifact is written whole: its lines go to a hidden temp file beside the
 target (``.{name}.{pid}.tmp``), which then replaces the target in one
 rename.  A stage that fails part way leaves the previous file, or no file;
 only a process killed outright (SIGKILL) can leave the temp file behind.
+
+Every text input is read here too.  Line-based files go through one loop,
+``parse_lines``, and an error names the file and the 1-based line.
 """
 
 from __future__ import annotations
@@ -11,10 +14,11 @@ from __future__ import annotations
 import json
 import os
 import stat
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterable, TextIO, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
-from .errors import DataError
+from .errors import DataError, IngestError
 
 T = TypeVar("T")
 
@@ -64,20 +68,61 @@ def write_records(path: str | Path, records: Iterable[Any]) -> int:
     return write_lines(path, map(_encode, records))
 
 
-def read_records(path: str | Path, what: str, parse: Callable[[Any], T]) -> list[T]:
-    """``parse`` applied to each non-blank line's JSON value, in file order.
-
-    A line that is not JSON, or that ``parse`` rejects with a KeyError,
-    TypeError or ValueError, is a DataError naming the file and the line.
-    """
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+def parse_lines(
+    lines: Iterable[str], what: str, parse: Callable[[str], T]
+) -> Iterator[T]:
+    """``parse`` of each line that is not blank or whitespace only, its line
+    break dropped.  A line ``parse`` rejects with a KeyError, TypeError or
+    ValueError is an IngestError carrying the 1-based line number."""
+    for line_no, line in enumerate(lines, start=1):
+        line = line.rstrip("\r\n")
+        if line and not line.isspace():
             try:
-                out.append(parse(json.loads(line)))
+                value = parse(line)
             except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}: bad {what} on line {line_no}") from exc
-    return out
+                raise IngestError(line_no, what) from exc
+            yield value
+
+
+@contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """``path`` open as UTF-8 text.  A line error or undecodable bytes met
+    while reading it become a DataError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text") from exc
+    except IngestError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def read_fields(lines: Iterable[str], n: int, what: str) -> Iterator[list[str]]:
+    """Exactly ``n`` non-empty tab-separated fields per line, from an
+    ``open_text`` file or from lines in memory."""
+
+    def split(line: str) -> list[str]:
+        fields = line.split("\t")
+        if len(fields) != n or "" in fields:
+            raise ValueError(f"expected {n} non-empty tab-separated fields")
+        return fields
+
+    return parse_lines(lines, what, split)
+
+
+def read_records(path: str | Path, what: str, parse: Callable[[Any], T]) -> list[T]:
+    """``parse`` applied to each non-blank line's JSON value, in file order."""
+    with open_text(path) as fh:
+        return list(parse_lines(fh, what, lambda line: parse(json.loads(line))))
+
+
+def read_json(path: str | Path, what: str) -> dict[str, Any]:
+    """The JSON object in ``path``; anything else is a DataError naming it."""
+    try:
+        with open_text(path) as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not a JSON {what}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: a {what} must be a JSON object")
+    return payload

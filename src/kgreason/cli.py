@@ -30,8 +30,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from . import mining
-from .artifacts import write_lines
-from .errors import ClientError, DataError, UsageError
+from .artifacts import open_text, parse_lines, read_fields, write_lines
+from .errors import ClientError, DataError, IngestError, UsageError
 from .kg import KnowledgeGraph, Triple
 from .manifest import RunManifest
 from .rules import DEFAULT_MAX_HOP, RuleStats, read_rules, sort_stats, write_rules
@@ -68,17 +68,20 @@ _BOOLS = {
 
 def read_config(path: str | Path) -> dict[str, str]:
     """Flat ``key=value`` option file; blank lines and # comments allowed."""
-    config: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}: line {line_no} is not key=value")
-            key, _, value = line.partition("=")
-            config[key.strip().replace("-", "_")] = value.strip()
-    return config
+
+    def entry(line: str) -> Optional[tuple[str, str]]:
+        key, eq, value = line.strip().partition("=")
+        if key.startswith("#"):
+            return None
+        if not eq:
+            raise ValueError(line)
+        return key.strip().replace("-", "_"), value.strip()
+
+    with open_text(path) as fh:
+        try:
+            return dict(filter(None, parse_lines(fh, "key=value option", entry)))
+        except IngestError as exc:
+            raise UsageError(f"{path}: {exc}") from None
 
 
 class Opt(NamedTuple):
@@ -204,20 +207,10 @@ def _probe_table(
 ) -> dict[str, str]:
     """Sentences the simulated model treats as known, from a triple file."""
     table: dict[str, str] = {}
-    with open(facts_path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{facts_path}: bad triple line {line_no}")
-            head, relation, tail = fields
-            fact = Triple(
-                kg.entity_id(head), kg.relation_id(relation), kg.entity_id(tail)
-            )
-            sentence = templates.render_fact(kg, fact, kg.entity_name)
-            table[sentence] = "known"
+    with open_text(facts_path) as fh:
+        for h, r, t in read_fields(fh, 3, "triple"):
+            fact = Triple(kg.entity_id(h), kg.relation_id(r), kg.entity_id(t))
+            table[templates.render_fact(kg, fact, kg.entity_name)] = "known"
     return table
 
 
@@ -638,7 +631,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"{PROG}: usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError, UnicodeDecodeError) as exc:
+    except (DataError, OSError) as exc:
         print(f"{PROG}: data error: {exc}", file=sys.stderr)
         return 2
     except ClientError as exc:

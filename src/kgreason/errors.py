@@ -16,12 +16,12 @@ class DataError(KgReasonError):
 
 
 class IngestError(DataError):
-    """A triple line could not be parsed.  Carries the 1-based line number."""
+    """A line of a text input could not be parsed.  Carries the 1-based line
+    number."""
 
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
+    def __init__(self, line_no: int, what: str):
+        super().__init__(f"bad {what} on line {line_no}")
         self.line_no = line_no
-        self.reason = reason
 
 
 class UnknownSymbolError(DataError):

@@ -24,7 +24,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .artifacts import read_records, write_lines, write_records
+from .artifacts import read_json, read_records, write_lines, write_records
 from .errors import DataError, UsageError
 from .generation import ReasoningSample
 from .kg import KnowledgeGraph
@@ -649,12 +649,8 @@ def read_splits(
 
     Every sample id must be a key of ``samples``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataError(f"{path}: not a JSON splits file") from exc
-    records = payload.get("splits") if isinstance(payload, dict) else None
+    payload = read_json(path, "splits file")
+    records = payload.get("splits")
     if not isinstance(records, list):
         raise DataError(f"{path}: expected an object with a list of splits")
     splits = []

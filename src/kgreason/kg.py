@@ -24,7 +24,7 @@ caller holding ids from anywhere else checks them at its own boundary.
 
 Triple files are UTF-8 text, one fact per line, with exactly three
 tab-separated fields: head entity, relation, tail entity.  Duplicate lines
-collapse into one fact.  Blank lines are ignored.
+collapse into one fact.  Blank and whitespace-only lines are ignored.
 
 Relation names may not contain ``(``, ``)``, ``,`` or ``&``: rule encodings
 use them as delimiters, and a name holding one can make two rules encode
@@ -38,12 +38,13 @@ import json
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .artifacts import write_lines
-from .errors import DataError, IngestError, UnknownSymbolError
+from .artifacts import open_text, read_fields, read_json, write_lines
+from .errors import DataError, UnknownSymbolError
 
 STORE_FORMAT_VERSION = 1
 
@@ -147,36 +148,17 @@ class KnowledgeGraph:
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "KnowledgeGraph":
-        """Build a graph from triple lines, validating as we go.
-
-        Raises IngestError (with the offending 1-based line number) when a
-        non-blank line does not have exactly three tab-separated fields.
-        """
-        name_triples: list[tuple[str, str, str]] = []
-        entities: set[str] = set()
-        relations: set[str] = set()
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise IngestError(
-                    line_no, f"expected 3 tab-separated fields, got {len(fields)}"
-                )
-            h, r, t = fields
-            if not h or not r or not t:
-                raise IngestError(line_no, "empty field")
-            name_triples.append((h, r, t))
-            entities.add(h)
-            entities.add(t)
-            relations.add(r)
-        return cls(entities, relations, name_triples)
+        """Build a graph from triple lines.  A line that does not hold three
+        non-empty tab-separated fields is an IngestError."""
+        # Tuples, as a list from str.split keeps room for 12 items.
+        rows = list(map(tuple, read_fields(lines, 3, "triple")))
+        heads, relations, tails = (map(itemgetter(i), rows) for i in range(3))
+        return cls(chain(heads, tails), relations, rows)
 
     @classmethod
     @_gc_paused()
     def from_file(cls, path: str | Path) -> "KnowledgeGraph":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             return cls.from_lines(fh)
 
     # ------------------------------------------------------------------
@@ -302,13 +284,7 @@ class KnowledgeGraph:
     @classmethod
     @_gc_paused()
     def load(cls, path: str | Path) -> "KnowledgeGraph":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"not a valid store file: {path}") from exc
-        if not isinstance(payload, dict):
-            raise DataError(f"{path}: a store must be a JSON object")
+        payload = read_json(path, "store")
         version = payload.get("format_version")
         if version != STORE_FORMAT_VERSION:
             raise DataError(

@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .artifacts import write_lines
+from .artifacts import read_json, write_lines
 from .errors import DataError
 
 TOOL_VERSION = "0.1.0"
@@ -38,13 +38,8 @@ class RunManifest:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         if self.path.exists():
-            with open(self.path, "r", encoding="utf-8") as fh:
-                try:
-                    self.data = json.load(fh)
-                except ValueError as exc:
-                    raise DataError(f"{path}: not a JSON manifest: {exc}") from None
-            stages = self.data.get("stages") if isinstance(self.data, dict) else None
-            if not isinstance(stages, dict):
+            self.data = read_json(self.path, "manifest")
+            if not isinstance(self.data.get("stages"), dict):
                 raise DataError(f"{path}: a manifest is an object with a 'stages' object")
         else:
             self.data = {

@@ -126,14 +126,14 @@ class RuleInstance:
     """One grounding of a rule's body on a concrete graph.
 
     ``entities`` lists the bound entity ids in chain position order, so
-    ``entities[0]`` is X and ``entities[-1]`` is Y.  ``head_fact`` is set
-    exactly when the grounded head triple is present in the graph.
+    ``entities[0]`` is X and ``entities[-1]`` is Y.  ``head_fact`` is the
+    grounded head triple (X, head relation, Y), which holds in the graph.
     """
 
     rule: Rule
     entities: tuple[int, ...]
     body_facts: tuple[Triple, ...]
-    head_fact: Optional[Triple]
+    head_fact: Triple
 
     @property
     def subject(self) -> int:

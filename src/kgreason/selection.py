@@ -21,7 +21,7 @@ from pathlib import Path
 from string import ascii_lowercase, ascii_uppercase
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from .artifacts import read_records, write_lines, write_records
+from .artifacts import open_text, read_fields, read_records, write_lines, write_records
 from .client import VERDICT_KNOWN, VERDICT_UNDECIDED, VERDICT_UNKNOWN
 from .errors import DataError, UsageError
 from .kg import KnowledgeGraph, Triple
@@ -81,17 +81,11 @@ class AnonymizationMap:
 
     @classmethod
     def load(cls, path: str | Path, kg: KnowledgeGraph) -> "AnonymizationMap":
-        entries: dict[int, str] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2 or not fields[1]:
-                    raise DataError(f"{path}: bad map line {line_no}")
-                entries[kg.entity_id(fields[0])] = fields[1]
-        return cls(entries)
+        with open_text(path) as fh:
+            return cls({
+                kg.entity_id(original): synthetic
+                for original, synthetic in read_fields(fh, 2, "map entry")
+            })
 
 
 def _sample_sorted(
@@ -188,8 +182,6 @@ def leakage_filter(pool: SelectionPool) -> SelectionPool:
     for rule_id in sorted(pool.per_rule):
         kept = []
         for inst in pool.per_rule[rule_id]:
-            if inst.head_fact is None:
-                raise DataError(f"instance of {rule_id} has no head fact")
             if inst.head_fact in body_union:
                 removed += 1
             else:
@@ -219,7 +211,7 @@ def probe_filter(
         kept = []
         for inst in pool.per_rule[rule_id]:
             verdicts = [oracle(fact) for fact in inst.body_facts]
-            head_verdict = oracle(inst.head_fact) if inst.head_fact else None
+            head_verdict = oracle(inst.head_fact)
             if VERDICT_UNDECIDED in verdicts or head_verdict == VERDICT_UNDECIDED:
                 undecided += 1
                 continue
@@ -343,7 +335,7 @@ def write_pool(path: str | Path, pool: SelectionPool, kg: KnowledgeGraph) -> int
                 "setting": pool.setting,
                 "entities": [kg.entity_name(e) for e in inst.entities],
                 "body": [fact(t) for t in inst.body_facts],
-                "head": fact(inst.head_fact) if inst.head_fact else None,
+                "head": fact(inst.head_fact),
             }
             for inst in pool.instances()
         ),

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
+from .artifacts import open_text, read_fields
 from .errors import TemplateError
 from .kg import KnowledgeGraph, Triple
 
@@ -215,17 +216,9 @@ class TemplateLibrary:
     @classmethod
     def load(cls, relations_path: str | Path) -> "TemplateLibrary":
         lib = cls()
-        with open(relations_path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise TemplateError(
-                        f"{relations_path}: expected 2 fields on line {line_no}"
-                    )
-                lib.add_relation(RelationTemplate(fields[0], fields[1]))
+        with open_text(relations_path) as fh:
+            for relation, pattern in read_fields(fh, 2, "relation template"):
+                lib.add_relation(RelationTemplate(relation, pattern))
         return lib
 
 

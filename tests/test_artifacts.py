@@ -1,14 +1,18 @@
-"""Whole-file writes and the JSON-lines reader."""
+"""Whole-file writes, and the readers of every text input."""
 
 from __future__ import annotations
 
 import os
 import threading
+from pathlib import Path
 
 import pytest
 
 from kgreason.artifacts import read_records, write_lines, write_records
+from kgreason.cli import main
 from kgreason.errors import DataError
+from kgreason.kg import KnowledgeGraph
+from kgreason.rules import Rule, RuleStats, write_rules
 
 
 def failing_records():
@@ -95,3 +99,143 @@ class TestReadRecords:
         path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(DataError, match="bad thing on line 1"):
             read_records(path, "thing", lambda r: int(r["n"]))
+
+
+# ----------------------------------------------------------------------
+# edge cases of every text input, through the command line
+
+TRIPLES = (
+    "anykid\tpart_of\tcckqlvy\n"
+    "cckqlvy\tfrom_country\tvevedgta\n"
+    "anykid\tcitizen_of\tvevedgta\n"
+)
+
+
+def tiny_run(run: Path) -> None:
+    """A three-fact store, its one two-hop rule and an anonymized pool, in
+    ``run``, which is the working directory."""
+    (run / "triples.tsv").write_text(TRIPLES, encoding="utf-8")
+    rule = Rule("citizen_of", ("part_of", "from_country"))
+    write_rules(run / "rules.tsv", [RuleStats(rule, support=1, body_count=1)])
+    for args in (
+        ["ingest", "--triples", "triples.tsv", "--store", "store.json"],
+        [
+            "select", "--store", "store.json", "--library", "rules.tsv",
+            "--pool", "pool.tsv", "--map", "map.tsv", "--per-rule", "1",
+        ],
+    ):
+        assert main([*args, "--manifest", "manifest.json"]) == 0
+
+
+# Per reader: the well-formed file, then the stage that reads it from
+# "input" and writes "output".
+READERS = {
+    "triples": (TRIPLES, ["ingest", "--triples", "input", "--store", "output"]),
+    "probe facts": (
+        "anykid\tpart_of\tcckqlvy\ncckqlvy\tfrom_country\tvevedgta\n",
+        [
+            "select", "--store", "store.json", "--library", "rules.tsv",
+            "--pool", "output", "--setting", "regular", "--per-rule", "1",
+            "--client", "mock", "--probe-facts", "input",
+        ],
+    ),
+    "map": (
+        None,  # the map select wrote
+        [
+            "generate", "--store", "store.json", "--pool", "pool.tsv",
+            "--map", "input", "--samples", "output",
+        ],
+    ),
+    "templates": (
+        "part_of\t<ENT1> is part of <ENT2>.\nfrom_country\t<ENT1> is from <ENT2>.\n",
+        [
+            "generate", "--store", "store.json", "--pool", "pool.tsv",
+            "--map", "map.tsv", "--templates", "input", "--samples", "output",
+        ],
+    ),
+    "config": (
+        "triples = triples.tsv\n# ingest options\n",
+        ["ingest", "--config", "input", "--store", "output"],
+    ),
+}
+
+# Each case edits the first line of the well-formed file.
+CASES = {
+    "crlf line ends": lambda first, rest: first + "\r\n" + rest,
+    "cr inside a line": lambda first, rest: (
+        first[:-3] + "\r" + first[-3:] + "\n" + rest
+    ),
+    "whitespace-only line": lambda first, rest: first + "\n \t \n" + rest,
+    "trailing tab": lambda first, rest: first + "\t\n" + rest,
+    "empty first field": lambda first, rest: (
+        first[first.index("\t" if "\t" in first else "="):] + "\n" + rest
+    ),
+    "empty last field": lambda first, rest: (
+        first[:first.rindex("\t" if "\t" in first else "=") + 1] + "\n" + rest
+    ),
+    "invalid utf-8": None,
+}
+
+# Exit codes by reader and case; every other pair exits 0.
+EXITS = {
+    ("triples", "cr inside a line"): 2,
+    ("triples", "trailing tab"): 2,
+    ("triples", "empty first field"): 2,
+    ("triples", "empty last field"): 2,
+    ("probe facts", "cr inside a line"): 2,
+    ("probe facts", "trailing tab"): 2,
+    ("probe facts", "empty first field"): 2,
+    ("probe facts", "empty last field"): 2,
+    ("map", "cr inside a line"): 2,
+    ("map", "trailing tab"): 2,
+    ("map", "empty first field"): 2,
+    ("map", "empty last field"): 2,
+    ("templates", "cr inside a line"): 2,
+    ("templates", "trailing tab"): 2,
+    ("templates", "empty first field"): 2,
+    ("templates", "empty last field"): 2,
+    ("config", "cr inside a line"): 1,
+    ("config", "empty first field"): 1,
+    ("config", "empty last field"): 1,
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("reader", list(READERS))
+def test_text_input_edge_cases(tmp_path, monkeypatch, capsys, reader, case):
+    """Every reader skips blank lines and holds every other line to its
+    format.  A broken field or undecodable bytes in a tab-separated file
+    give an error naming the file; a broken name or template names itself."""
+    monkeypatch.chdir(tmp_path)
+    tiny_run(tmp_path)
+    good, args = READERS[reader]
+    if good is None:
+        good = (tmp_path / "map.tsv").read_text(encoding="utf-8")
+    first, _, rest = good.partition("\n")
+    edit = CASES[case]
+    if edit is None:
+        data = good.encode("utf-8") + b"\xff\n"
+        expected = 2
+    else:
+        data = edit(first, rest).encode("utf-8")
+        expected = EXITS.get((reader, case), 0)
+    (tmp_path / "input").write_bytes(data)
+    code = main([*args, "--manifest", "manifest.json"])
+    err = capsys.readouterr().err
+    assert code == expected, err
+    if code and reader != "config" and case != "cr inside a line":
+        assert "data error: input: " in err, err
+    assert (tmp_path / "output").exists() == (code == 0)
+    assert leftovers(tmp_path) == []
+
+
+@pytest.mark.parametrize("line", ["a\tr\tb\r", "a\tr\tb\r\n", "a\tr\tb\n"])
+def test_in_memory_line_break_is_dropped(line):
+    assert KnowledgeGraph.from_lines(["", line]).stats() == {
+        "entities": 2, "relations": 1, "triples": 1,
+    }
+
+
+def test_in_memory_cr_inside_a_field_is_kept():
+    kg = KnowledgeGraph.from_lines(["a\tr\rs\tb"])
+    assert kg.relation_names() == ["r\rs"]

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import kg_from
 from rule_oracles import all_triples
-from kgreason.errors import TemplateError
+from kgreason.errors import DataError, TemplateError
 from kgreason.templates import (
     SIDE_OBJECT,
     SIDE_SUBJECT,
@@ -139,7 +139,7 @@ class TestLibrary:
     def test_load_rejects_bad_field_count(self, tmp_path):
         bad = tmp_path / "rels.tsv"
         bad.write_text("only_one_field\n")
-        with pytest.raises(TemplateError):
+        with pytest.raises(DataError):
             TemplateLibrary.load(bad)
 
 
