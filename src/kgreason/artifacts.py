@@ -72,8 +72,8 @@ def parse_lines(
     lines: Iterable[str], what: str, parse: Callable[[str], T]
 ) -> Iterator[T]:
     """``parse`` of each line that is not blank or whitespace only, its line
-    break dropped.  A line ``parse`` rejects with a KeyError, TypeError or
-    ValueError is an IngestError carrying the 1-based line number."""
+    break dropped.  A KeyError, TypeError, ValueError or DataError from
+    ``parse`` is an IngestError with the 1-based line (and a DataError's text)."""
     for line_no, line in enumerate(lines, start=1):
         line = line.rstrip("\r\n")
         if line and not line.isspace():
@@ -81,6 +81,8 @@ def parse_lines(
                 value = parse(line)
             except (KeyError, TypeError, ValueError) as exc:
                 raise IngestError(line_no, what) from exc
+            except DataError as exc:
+                raise IngestError(line_no, what, str(exc)) from exc
             yield value
 
 
@@ -97,9 +99,9 @@ def open_text(path: str | Path) -> Iterator[TextIO]:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def read_fields(lines: Iterable[str], n: int, what: str) -> Iterator[list[str]]:
-    """Exactly ``n`` non-empty tab-separated fields per line, from an
-    ``open_text`` file or from lines in memory."""
+def read_fields(lines: Iterable[str], n: int, what: str, convert=None) -> Iterator[Any]:
+    """Exactly ``n`` non-empty tab-separated fields per line, or ``convert``
+    of them, from an ``open_text`` file or from lines in memory."""
 
     def split(line: str) -> list[str]:
         fields = line.split("\t")
@@ -107,7 +109,8 @@ def read_fields(lines: Iterable[str], n: int, what: str) -> Iterator[list[str]]:
             raise ValueError(f"expected {n} non-empty tab-separated fields")
         return fields
 
-    return parse_lines(lines, what, split)
+    parse = split if convert is None else lambda line: convert(*split(line))
+    return parse_lines(lines, what, parse)
 
 
 def read_records(path: str | Path, what: str, parse: Callable[[Any], T]) -> list[T]:

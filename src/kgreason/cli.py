@@ -40,7 +40,7 @@ from .seeding import derive_seed
 if TYPE_CHECKING:
     from .client import ModelClient
     from .generation import ReasoningSample
-    from .selection import AnonymizationMap, SelectionPool
+    from .selection import SelectionPool
     from .templates import TemplateLibrary
 
 logger = logging.getLogger(__name__)
@@ -206,12 +206,23 @@ def _probe_table(
     kg: KnowledgeGraph, templates: TemplateLibrary, facts_path: str
 ) -> dict[str, str]:
     """Sentences the simulated model treats as known, from a triple file."""
-    table: dict[str, str] = {}
+
+    def sentence(h: str, r: str, t: str) -> str:
+        fact = Triple(kg.entity_id(h), kg.relation_id(r), kg.entity_id(t))
+        return templates.render_fact(kg, fact, kg.entity_name)
+
     with open_text(facts_path) as fh:
-        for h, r, t in read_fields(fh, 3, "triple"):
-            fact = Triple(kg.entity_id(h), kg.relation_id(r), kg.entity_id(t))
-            table[templates.render_fact(kg, fact, kg.entity_name)] = "known"
-    return table
+        return dict.fromkeys(read_fields(fh, 3, "triple", sentence), "known")
+
+
+def _emptied_by(pool: SelectionPool, rules: int, n: int) -> str:
+    """Which filter of the selection left ``pool`` with no instance."""
+    balanced = rules - pool.dropped["balance_rules_dropped"]
+    if not balanced:
+        return f"balance: none of the library's {rules} rules has {n} instances"
+    if pool.dropped["rebalance_rules_dropped"] == balanced:
+        return "leakage: every instance's head fact is a pooled body fact"
+    return "probe: no instance has known body facts and an unknown head"
 
 
 def _polisher(opts: Options, kg: KnowledgeGraph, templates: TemplateLibrary):
@@ -225,18 +236,16 @@ def _polisher(opts: Options, kg: KnowledgeGraph, templates: TemplateLibrary):
     return _build_client(opts, kg, templates).polish
 
 
-def _load_pool(
-    opts: Options, kg: KnowledgeGraph, seed: int
-) -> tuple[SelectionPool, Optional[AnonymizationMap]]:
+def _load_pool(opts: Options, kg: KnowledgeGraph, seed: int) -> SelectionPool:
+    """The --pool file, with the synthetic names of --map when it is given."""
     from . import selection
 
     pool_path, map_path = opts.input("pool"), opts.input("map")
-    mapping = selection.AnonymizationMap.load(map_path, kg) if map_path else None
-    name_map = mapping.entries if mapping else None
+    name_map = selection.read_name_map(map_path, kg) if map_path else None
     pool = selection.read_pool(pool_path, kg, seed=seed, name_map=name_map)
-    if pool.setting == SETTING_ANONYMIZED and mapping is None:
+    if pool.setting == SETTING_ANONYMIZED and name_map is None:
         raise UsageError("anonymized pool requires --map")
-    return pool, mapping
+    return pool
 
 
 def _write_predictions(opts: Options, samples: Sequence[ReasoningSample]) -> None:
@@ -335,7 +344,7 @@ def cmd_compose(opts: Options) -> tuple[None, Counts]:
 
 
 def cmd_select(opts: Options) -> tuple[int, Counts]:
-    from . import explore, selection
+    from . import selection
 
     setting = opts.get("setting")
     if setting == SETTING_ANONYMIZED and not opts.get("map"):
@@ -349,23 +358,21 @@ def cmd_select(opts: Options) -> tuple[int, Counts]:
     if setting == SETTING_REGULAR:
         templates = _load_templates(opts.get("templates"))
         client = _build_client(opts, kg, templates)
-        oracle = explore.probe_from_client(kg, templates, client)
-    stage_seed = derive_seed(opts.get("seed"), "select")
-    pool, mapping = selection.select_pipeline(
-        kg, per_rule, opts.get("per_rule"), stage_seed, setting, oracle
-    )
+        oracle = selection.probe_from_client(kg, templates, client)
+    seed, n = derive_seed(opts.get("seed"), "select"), opts.get("per_rule")
+    pool, name_map = selection.select_pipeline(kg, per_rule, n, seed, setting, oracle)
+    if not pool.size():
+        raise DataError(f"empty pool: {_emptied_by(pool, len(per_rule), n)}")
     count = selection.write_pool(opts.output("pool"), pool, kg)
-    map_entries = 0
-    if mapping is not None:
-        mapping.save(opts.output("map"), kg)
-        map_entries = len(mapping.entries)
+    if name_map is not None:
+        selection.write_name_map(opts.output("map"), kg, name_map)
     counts = {"instances": count, "rules": len(pool.per_rule)}
-    counts.update(map_entries=map_entries, **pool.dropped)
+    counts.update(map_entries=len(name_map or {}), **pool.dropped)
     print(
         f"selected {count} instances across {len(pool.per_rule)} rules "
         f"({setting} setting)"
     )
-    return stage_seed, counts
+    return seed, counts
 
 
 def cmd_generate(opts: Options) -> tuple[int, Counts]:
@@ -373,7 +380,7 @@ def cmd_generate(opts: Options) -> tuple[int, Counts]:
 
     kg = KnowledgeGraph.load(opts.input("store"))
     stage_seed = derive_seed(opts.get("seed"), "generate")
-    pool, _ = _load_pool(opts, kg, stage_seed)
+    pool = _load_pool(opts, kg, stage_seed)
     templates = _load_templates(opts.get("templates"))
     polisher = _polisher(opts, kg, templates)
     samples, info = generation.make_samples(kg, pool, templates, polisher)
@@ -389,34 +396,32 @@ def cmd_generate(opts: Options) -> tuple[int, Counts]:
 
 
 def cmd_explore(opts: Options) -> tuple[int, Counts]:
-    from . import explore, generation
-    from .selection import AnonymizationMap
+    from . import explore, generation, selection
 
     kg = KnowledgeGraph.load(opts.input("store"))
     stage_seed = derive_seed(opts.get("seed"), "explore")
-    pool, mapping = _load_pool(opts, kg, stage_seed)
+    pool = _load_pool(opts, kg, stage_seed)
     templates = _load_templates(opts.get("templates"))
     rule_library = read_rules(opts.input("library"))
     if opts.get("oracle") == ORACLE_KG:
         oracle = explore.KgFactOracle(kg)
     else:
         client = _build_client(opts, kg, templates)
-        probe = explore.probe_from_client(kg, templates, client)
+        probe = selection.probe_from_client(kg, templates, client)
         oracle = explore.ProbeFactOracle(kg, probe)
     polisher = _polisher(opts, kg, templates)
     max_trials, ensure_error = opts.get("max_trials"), opts.get("ensure_error")
-    samples, info, minted = explore.explore_samples(
+    samples, info, name_map = explore.explore_samples(
         kg, pool, templates, rule_library, oracle, max_trials, ensure_error, polisher
     )
     generation.write_samples(opts.output("samples"), samples)
-    if opts.get("map_out") and mapping is not None:
-        merged = AnonymizationMap({**mapping.entries, **minted})
-        merged.save(opts.output("map_out", "map"), kg)
-    elif minted:
+    if opts.get("map_out"):
+        selection.write_name_map(opts.output("map_out", "map"), kg, name_map)
+    elif info["minted_names"]:
         logger.warning(
             "minted %d synthetic names for trace narration; pass --map-out "
             "to persist them for evaluation",
-            len(minted),
+            info["minted_names"],
         )
     _write_predictions(opts, samples)
     print(
@@ -456,17 +461,13 @@ def cmd_split(opts: Options) -> tuple[int, Counts]:
 
 
 def cmd_evaluate(opts: Options) -> tuple[None, Counts]:
-    from . import evaluation, generation
-    from .selection import AnonymizationMap
+    from . import evaluation, generation, selection
 
     kg = KnowledgeGraph.load(opts.input("store"))
     stats = read_rules(opts.input("library"))
     templates = _load_templates(opts.get("templates"))
     map_path = opts.input("map")
-    extra_names = None
-    if map_path:
-        mapping = AnonymizationMap.load(map_path, kg)
-        extra_names = {name: eid for eid, name in mapping.entries.items()}
+    name_map = selection.read_name_map(map_path, kg) if map_path else {}
     by_id: dict[str, ReasoningSample] = {}
     for path in opts.input("samples"):
         for sample in generation.read_samples(path):
@@ -475,6 +476,7 @@ def cmd_evaluate(opts: Options) -> tuple[None, Counts]:
     outputs: dict[str, str] = {}
     for path in opts.input("predictions"):
         outputs.update(evaluation.read_predictions(path))
+    extra_names = {name: eid for eid, name in name_map.items()}
     evaluator = evaluation.Evaluator(kg, stats, templates, extra_names)
     report = evaluator.evaluate(splits, outputs)
     report.save(opts.output("report"))

@@ -17,10 +17,10 @@ class DataError(KgReasonError):
 
 class IngestError(DataError):
     """A line of a text input could not be parsed.  Carries the 1-based line
-    number."""
+    number, and what was wrong with the line when that is known."""
 
-    def __init__(self, line_no: int, what: str):
-        super().__init__(f"bad {what} on line {line_no}")
+    def __init__(self, line_no: int, what: str, detail: str = ""):
+        super().__init__(f"bad {what} on line {line_no}" + (detail and f": {detail}"))
         self.line_no = line_no
 
 

@@ -70,7 +70,8 @@ class ProbeFactOracle:
 
     Only facts the probe marks ``known`` count as provable; ``undecided``
     is treated as not known.  Verdicts are cached for the run.  Relation
-    ids must come from ``relation_id``, as for ``KgFactOracle``.
+    ids must come from ``relation_id``, as for ``KgFactOracle``.  The probe
+    of a model client is ``selection.probe_from_client``.
     """
 
     def __init__(self, kg: KnowledgeGraph, probe: Callable[[Triple], str]):
@@ -98,15 +99,6 @@ class ProbeFactOracle:
         if rid is None:
             return []
         return [h for h in self.kg.heads(eid, rid) if self._known(h, rid, eid)]
-
-
-def probe_from_client(kg: KnowledgeGraph, library: TemplateLibrary, client, name_of=None):
-    """Adapt a model client into a Triple -> verdict callable."""
-    if name_of is None:
-        name_of = kg.entity_name
-    def probe(fact: Triple) -> str:
-        return client.probe_fact(library.render_fact(kg, fact, name_of))
-    return probe
 
 
 # ----------------------------------------------------------------------
@@ -420,8 +412,7 @@ def explore_samples(
     Exploration can wander through entities the selection pool never
     touched.  When the pool carries a synthetic-name map, those entities
     get freshly minted names before rendering; the third return value is
-    that extension (empty when nothing was minted) so callers can persist
-    it alongside the original map.
+    the map grown by them, for callers to persist in place of the pool's.
     """
     skipped_ambiguous = 0
     skipped_exhausted = 0
@@ -450,13 +441,13 @@ def explore_samples(
             error_traces += 1
         explored.append((inst, side, asked, trace))
 
-    minted: dict[int, str] = {}
+    named = len(pool.name_map)
     if pool.name_map:
         mentioned: set[int] = set()
         for _inst, _side, asked, trace in explored:
             mentioned.add(asked)
             mentioned.update(trace.entity_ids())
-        pool, minted = extend_name_map(pool, kg, sorted(mentioned))
+        pool = extend_name_map(pool, kg, mentioned)
     name_of = lambda e: pool.display_name(kg, e)  # noqa: E731
 
     samples: list[ReasoningSample] = []
@@ -492,6 +483,6 @@ def explore_samples(
         "skipped_ambiguous": skipped_ambiguous,
         "skipped_exhausted": skipped_exhausted,
         "error_traces": error_traces,
-        "minted_names": len(minted),
+        "minted_names": len(pool.name_map) - named,
     }
-    return samples, counts, minted
+    return samples, counts, pool.name_map

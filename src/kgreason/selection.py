@@ -8,8 +8,9 @@ final questions cannot be answered from memorized surface forms) or
 known and the head is not).
 
 Pool files keep original entity names as stable join keys against the
-graph; synthetic names live in the anonymization map artifact and are
-applied at render time.
+graph.  Synthetic names live in one place, the pool's ``name_map`` (entity
+id -> synthetic name), which ``write_name_map`` and ``read_name_map`` keep
+in the map file; they are applied at render time.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from string import ascii_lowercase, ascii_uppercase
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .artifacts import open_text, read_fields, read_records, write_lines, write_records
 from .client import VERDICT_KNOWN, VERDICT_UNDECIDED, VERDICT_UNKNOWN
@@ -27,6 +28,7 @@ from .errors import DataError, UsageError
 from .kg import KnowledgeGraph, Triple
 from .rules import Rule, RuleInstance
 from .seeding import derive_seed
+from .templates import TemplateLibrary
 
 logger = logging.getLogger(__name__)
 
@@ -65,27 +67,6 @@ class SelectionPool:
 
     def body_fact_union(self) -> set[Triple]:
         return {fact for inst in self.instances() for fact in inst.body_facts}
-
-
-@dataclass(frozen=True)
-class AnonymizationMap:
-    """Injective entity id -> synthetic name mapping."""
-
-    entries: dict[int, str]
-
-    def save(self, path: str | Path, kg: KnowledgeGraph) -> None:
-        rows = sorted(
-            (kg.entity_name(eid), name) for eid, name in self.entries.items()
-        )
-        write_lines(path, (f"{original}\t{synthetic}" for original, synthetic in rows))
-
-    @classmethod
-    def load(cls, path: str | Path, kg: KnowledgeGraph) -> "AnonymizationMap":
-        with open_text(path) as fh:
-            return cls({
-                kg.entity_id(original): synthetic
-                for original, synthetic in read_fields(fh, 2, "map entry")
-            })
 
 
 def _sample_sorted(
@@ -141,14 +122,11 @@ def rebalance_min(pool: SelectionPool, stage: str = "rebalance") -> SelectionPoo
 
     Rules left with no instances are removed first; the minimum is taken
     over the remaining rules and larger sets are downsampled under the
-    pool seed.
+    pool seed.  ``stage`` names one rebalance and its drop counts.
     """
     nonempty = {rid: insts for rid, insts in pool.per_rule.items() if insts}
     rules_dropped = len(pool.per_rule) - len(nonempty)
-    dropped = dict(pool.dropped)
-    dropped[f"{stage}_rules_dropped"] = (
-        dropped.get(f"{stage}_rules_dropped", 0) + rules_dropped
-    )
+    dropped = {**pool.dropped, f"{stage}_rules_dropped": rules_dropped}
     if not nonempty:
         return replace(pool, per_rule={}, dropped=dropped)
     target = min(len(v) for v in nonempty.values())
@@ -162,9 +140,7 @@ def rebalance_min(pool: SelectionPool, stage: str = "rebalance") -> SelectionPoo
                 instances, target, derive_seed(pool.seed, stage, rule_id)
             )
         out[rule_id] = list(instances)
-    dropped[f"{stage}_instances_dropped"] = (
-        dropped.get(f"{stage}_instances_dropped", 0) + removed
-    )
+    dropped[f"{stage}_instances_dropped"] = removed
     return replace(pool, per_rule=out, dropped=dropped)
 
 
@@ -228,46 +204,27 @@ def probe_filter(
     return replace(pool, per_rule=out, dropped=dropped)
 
 
-def anonymize(
-    pool: SelectionPool, kg: KnowledgeGraph, seed: Optional[int] = None
-) -> tuple[SelectionPool, AnonymizationMap]:
-    """Attach one global injective synthetic-name map for pooled entities.
+def probe_from_client(kg: KnowledgeGraph, library: TemplateLibrary, client):
+    """The client's verdict on a fact, asked with the fact's sentence under
+    the store's own entity names."""
+    return lambda fact: client.probe_fact(library.render_fact(kg, fact, kg.entity_name))
+
+
+def anonymize(pool: SelectionPool, kg: KnowledgeGraph) -> SelectionPool:
+    """The pool with one global injective synthetic name per pooled entity.
 
     Synthetic names are a capital letter followed by lowercase letters,
     3 to 8 letters in total, rejection-sampled so they collide neither with
     any original entity name nor with each other.  Relations keep their
     names, so graph structure is untouched.
     """
-    if pool.setting != SETTING_ANONYMIZED:
-        raise UsageError("anonymize applies to the anonymized setting only")
-    rng = random.Random(derive_seed(pool.seed if seed is None else seed, "anonymize"))
-    taken = set(kg.entity_names())
-    entries: dict[int, str] = {}
-    for eid in pool.entity_ids():
-        name = _mint_name(rng, taken)
-        taken.add(name)
-        entries[eid] = name
-    mapping = AnonymizationMap(entries)
-    return replace(pool, name_map=dict(entries)), mapping
-
-
-def _mint_name(rng: random.Random, taken: set[str]) -> str:
-    for _ in range(_NAME_ATTEMPTS):
-        length = rng.randint(SYNTHETIC_NAME_MIN_LEN, SYNTHETIC_NAME_MAX_LEN)
-        name = rng.choice(ascii_uppercase) + "".join(
-            rng.choice(ascii_lowercase) for _ in range(length - 1)
-        )
-        if name not in taken:
-            return name
-    # The name space has billions of candidates, so exhausting the attempt
-    # budget means the graph itself is pathological.
-    raise DataError("could not draw a fresh synthetic name")
+    return _mint_names(pool, kg, pool.entity_ids(), derive_seed(pool.seed, "anonymize"))
 
 
 def extend_name_map(
-    pool: SelectionPool, kg: KnowledgeGraph, entity_ids: Sequence[int]
-) -> tuple[SelectionPool, dict[int, str]]:
-    """Mint synthetic names for entities the pool's map does not cover.
+    pool: SelectionPool, kg: KnowledgeGraph, entity_ids: Iterable[int]
+) -> SelectionPool:
+    """The pool with synthetic names for the entities its map does not cover.
 
     Trace rendering can pass through entities outside the selected
     instances; in the anonymized setting those must not surface their
@@ -276,20 +233,32 @@ def extend_name_map(
     and every name already in the map, so extension keeps the map
     injective and deterministic.
     """
-    missing = sorted(
-        {eid for eid in entity_ids if eid not in pool.name_map},
-        key=kg.entity_name,
-    )
-    if not missing:
-        return pool, {}
-    rng = random.Random(derive_seed(pool.seed, "anonymize", "extend"))
+    missing = sorted(set(entity_ids) - pool.name_map.keys(), key=kg.entity_name)
+    return _mint_names(pool, kg, missing, derive_seed(pool.seed, "anonymize", "extend"))
+
+
+def _mint_names(
+    pool: SelectionPool, kg: KnowledgeGraph, entity_ids: Iterable[int], seed: int
+) -> SelectionPool:
+    """The pool with a fresh name for each of ``entity_ids``, in that order."""
+    rng = random.Random(seed)
     taken = set(kg.entity_names()) | set(pool.name_map.values())
-    added: dict[int, str] = {}
-    for eid in missing:
-        name = _mint_name(rng, taken)
+    name_map = dict(pool.name_map)
+    for eid in entity_ids:
+        for _ in range(_NAME_ATTEMPTS):
+            length = rng.randint(SYNTHETIC_NAME_MIN_LEN, SYNTHETIC_NAME_MAX_LEN)
+            name = rng.choice(ascii_uppercase) + "".join(
+                rng.choice(ascii_lowercase) for _ in range(length - 1)
+            )
+            if name not in taken:
+                break
+        else:
+            # The name space has billions of candidates, so exhausting the
+            # attempt budget means the graph itself is pathological.
+            raise DataError("could not draw a fresh synthetic name")
         taken.add(name)
-        added[eid] = name
-    return replace(pool, name_map={**pool.name_map, **added}), added
+        name_map[eid] = name
+    return replace(pool, name_map=name_map)
 
 
 def select_pipeline(
@@ -299,23 +268,55 @@ def select_pipeline(
     seed: int,
     setting: str = SETTING_ANONYMIZED,
     oracle: Optional[Callable[[Triple], str]] = None,
-) -> tuple[SelectionPool, Optional[AnonymizationMap]]:
+) -> tuple[SelectionPool, Optional[dict[int, str]]]:
     """Full selection pass: balance, leakage filter, then the per-setting
     step (probe filter for regular, name map for anonymized).  The returned
-    pool always has equal per-rule counts."""
+    pool always has equal per-rule counts; its name map comes second, or
+    None in the regular setting."""
     pool = balance_instances(per_rule, n, seed, setting)
     pool = leakage_filter(pool)
     if setting == SETTING_REGULAR:
         if oracle is None:
             raise UsageError("regular setting requires a probe oracle")
-        pool = rebalance_min(probe_filter(pool, oracle), stage="probe_rebalance")
-        return pool, None
-    pool, mapping = anonymize(pool, kg)
-    return pool, mapping
+        return rebalance_min(probe_filter(pool, oracle), stage="probe_rebalance"), None
+    pool = anonymize(pool, kg)
+    return pool, pool.name_map
 
 
 # ----------------------------------------------------------------------
-# pool file
+# name map and pool files
+
+def write_name_map(
+    path: str | Path, kg: KnowledgeGraph, name_map: Mapping[int, str]
+) -> int:
+    """One ``original<TAB>synthetic`` line per entity, sorted by original name."""
+    rows = sorted((kg.entity_name(eid), name) for eid, name in name_map.items())
+    return write_lines(path, map("\t".join, rows))
+
+
+def read_name_map(path: str | Path, kg: KnowledgeGraph) -> dict[int, str]:
+    """The entity id -> synthetic name map a map file holds.  It must be
+    injective and keep every store name hidden: each entity once, each
+    synthetic name once, and no synthetic name that is a store name."""
+    name_map: dict[int, str] = {}
+    given: set[str] = set()
+
+    def entry(original: str, synthetic: str) -> tuple[int, str]:
+        eid = kg.entity_id(original)
+        if eid in name_map:
+            raise DataError(f"entity {original!r} is mapped twice")
+        if synthetic in given:
+            raise DataError(f"synthetic name {synthetic!r} is given twice")
+        if kg.has_entity(synthetic):
+            raise DataError(f"synthetic name {synthetic!r} is a store name")
+        given.add(synthetic)
+        return eid, synthetic
+
+    with open_text(path) as fh:
+        for eid, synthetic in read_fields(fh, 2, "map entry", entry):
+            name_map[eid] = synthetic
+    return name_map
+
 
 def write_pool(path: str | Path, pool: SelectionPool, kg: KnowledgeGraph) -> int:
     """One instance per line with original entity names as join keys."""
@@ -367,7 +368,7 @@ def read_pool(
         if setting is None:
             setting = line_setting
         elif setting != line_setting:
-            raise DataError(f"{path}: mixed settings in one pool file")
+            raise DataError("mixed settings in one pool file")
         return RuleInstance(
             rule=rule,
             entities=entities,

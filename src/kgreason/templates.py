@@ -217,8 +217,8 @@ class TemplateLibrary:
     def load(cls, relations_path: str | Path) -> "TemplateLibrary":
         lib = cls()
         with open_text(relations_path) as fh:
-            for relation, pattern in read_fields(fh, 2, "relation template"):
-                lib.add_relation(RelationTemplate(relation, pattern))
+            for template in read_fields(fh, 2, "relation template", RelationTemplate):
+                lib.add_relation(template)
         return lib
 
 

@@ -263,7 +263,7 @@ def test_criterion_4_selection_balanced_and_leak_free(capsys):
             if mapping is None:
                 problems.append(f"trial {trial}: no name map returned")
                 continue
-            synthetic = list(mapping.entries.values())
+            synthetic = list(mapping.values())
             if len(set(synthetic)) != len(synthetic):
                 problems.append(f"trial {trial}: name map not injective")
             real = set(kg.entity_names())
@@ -271,7 +271,7 @@ def test_criterion_4_selection_balanced_and_leak_free(capsys):
                 if name in real or not SYNTHETIC_NAME.match(name):
                     problems.append(f"trial {trial}: bad synthetic name {name!r}")
                     break
-            if set(mapping.entries) != set(pool.entity_ids()):
+            if set(mapping) != set(pool.entity_ids()):
                 problems.append(f"trial {trial}: map does not cover the pool")
     ok = not problems and pools == 100 and non_empty >= 50 and multi_rule >= 25
     detail = (

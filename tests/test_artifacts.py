@@ -199,13 +199,29 @@ EXITS = {
     ("config", "empty last field"): 1,
 }
 
+# How each reader reports the "cr inside a line" case.  The break splits the
+# first line in two, and the first half is well formed.  Triples, the map and
+# the config file then fail on the second half, line 2.  In the probe facts
+# the first half names an entity the store lacks, and in the templates it
+# cuts <ENT2>, so those fail on line 1.
+CR_ERRORS = {
+    "triples": "data error: input: bad triple on line 2",
+    "probe facts": "data error: input: bad triple on line 1: unknown entity: 'cckq'",
+    "map": "data error: input: bad map entry on line 2",
+    "templates": (
+        "data error: input: bad relation template on line 1: relation template "
+        "for 'part_of' must contain <ENT2> exactly once"
+    ),
+    "config": "usage error: input: bad key=value option on line 2",
+}
+
 
 @pytest.mark.parametrize("case", list(CASES))
 @pytest.mark.parametrize("reader", list(READERS))
 def test_text_input_edge_cases(tmp_path, monkeypatch, capsys, reader, case):
     """Every reader skips blank lines and holds every other line to its
-    format.  A broken field or undecodable bytes in a tab-separated file
-    give an error naming the file; a broken name or template names itself."""
+    format.  A broken field, name or template, or undecodable bytes, in a
+    tab-separated file give an error naming the file, and the line if any."""
     monkeypatch.chdir(tmp_path)
     tiny_run(tmp_path)
     good, args = READERS[reader]
@@ -223,10 +239,45 @@ def test_text_input_edge_cases(tmp_path, monkeypatch, capsys, reader, case):
     code = main([*args, "--manifest", "manifest.json"])
     err = capsys.readouterr().err
     assert code == expected, err
-    if code and reader != "config" and case != "cr inside a line":
+    if code and reader != "config":
         assert "data error: input: " in err, err
+    if case == "cr inside a line":
+        assert CR_ERRORS[reader] in err, err
     assert (tmp_path / "output").exists() == (code == 0)
     assert leftovers(tmp_path) == []
+
+
+# A well-formed line whose value is wrong, per reader: the input, then the
+# error naming its file and line.
+BAD_VALUES = {
+    "probe facts": (
+        "anykid\tpart_of\tcckqlvy\n\nnosuch\tfrom_country\tvevedgta\n",
+        "input: bad triple on line 3: unknown entity: 'nosuch'",
+    ),
+    "map": (
+        "anykid\tZorp\nnosuch\tBlim\n",
+        "input: bad map entry on line 2: unknown entity: 'nosuch'",
+    ),
+    "templates": (
+        "from_country\t<ENT1> is from <ENT2>.\npart_of\t<ENT1> bad\n",
+        "input: bad relation template on line 2: relation template for "
+        "'part_of' must contain <ENT2> exactly once: '<ENT1> bad'",
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", list(BAD_VALUES))
+def test_bad_value_inside_a_line_names_the_file_and_line(
+    tmp_path, monkeypatch, capsys, reader
+):
+    monkeypatch.chdir(tmp_path)
+    tiny_run(tmp_path)
+    data, message = BAD_VALUES[reader]
+    (tmp_path / "input").write_text(data, encoding="utf-8")
+    code = main([*READERS[reader][1], "--manifest", "manifest.json"])
+    assert code == 2
+    assert f"kgreason: data error: {message}\n" == capsys.readouterr().err
+    assert not (tmp_path / "output").exists()
 
 
 @pytest.mark.parametrize("line", ["a\tr\tb\r", "a\tr\tb\r\n", "a\tr\tb\n"])

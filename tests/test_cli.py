@@ -186,6 +186,27 @@ class TestRegularSetting:
         assert record["golden"] == "vevedgta"
         assert record["setting"] == "regular"
 
+    def test_map_out_without_map_writes_an_empty_map(self, tmp_path):
+        # A regular pool has no synthetic names, so the map asked for is empty.
+        run = self.prepare(tmp_path)
+        (run / "probe.tsv").write_text(
+            "anykid\tpart_of\tcckqlvy\ncckqlvy\tfrom_country\tvevedgta\n",
+            encoding="utf-8",
+        )
+        run_cli(
+            run, "select", "--store", "store.json", "--library", "rules.tsv",
+            "--pool", "pool.tsv", "--setting", "regular", "--per-rule", "1",
+            "--client", "mock", "--probe-facts", "probe.tsv",
+        )
+        run_cli(
+            run, "explore", "--store", "store.json", "--pool", "pool.tsv",
+            "--library", "rules.tsv", "--samples", "trial.jsonl",
+            "--map-out", "trial_map.tsv",
+        )
+        assert (run / "trial_map.tsv").read_text(encoding="utf-8") == ""
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["stages"]["explore"]["outputs"]["map"]["path"] == "trial_map.tsv"
+
     def test_model_known_head_is_dropped(self, tmp_path):
         run = self.prepare(tmp_path)
         (run / "probe.tsv").write_text(
@@ -198,8 +219,54 @@ class TestRegularSetting:
             run, "select", "--store", "store.json", "--library", "rules.tsv",
             "--pool", "pool.tsv", "--setting", "regular", "--per-rule", "1",
             "--client", "mock", "--probe-facts", "probe.tsv", "--seed", "1",
+            check=False,
         )
-        assert "selected 0 instances" in proc.stdout
+        # The only instance is dropped, and an empty pool is a data error.
+        assert proc.returncode == 2, proc.stderr
+        assert "empty pool: probe:" in proc.stderr
+        assert not (run / "pool.tsv").exists()
+
+
+class TestEmptyPool:
+    """A select whose final pool is empty is a data error naming the filter
+    that emptied it, and writes no pool, no map and no manifest entry."""
+
+    # A small dense random graph: the pooled body facts cover every pooled
+    # head fact, so the leakage filter drops every instance.
+    DENSE = (
+        ["synth", "--kind", "random", "--entities", "10", "--relations", "2",
+         "--triples", "40", "--seed", "1", "--out", "triples.tsv"],
+        ["ingest", "--triples", "triples.tsv", "--store", "store.json"],
+        ["mine", "--store", "store.json", "--out", "rules.tsv",
+         "--min-support", "2", "--min-confidence", "0.1"],
+        ["compose", "--store", "store.json", "--rules", "rules.tsv",
+         "--out", "library.tsv", "--min-confidence", "0.1"],
+    )
+    SELECT = [
+        "select", "--store", "store.json", "--library", "library.tsv",
+        "--pool", "pool.tsv", "--map", "map.tsv", "--seed", "1",
+    ]
+
+    @pytest.mark.parametrize(
+        "per_rule, emptied_by",
+        [
+            ("2", "empty pool: leakage: every instance's head fact is a pooled "
+                  "body fact"),
+            ("1000", "empty pool: balance: none of the library's 56 rules has "
+                     "1000 instances"),
+        ],
+    )
+    def test_dense_graph(self, tmp_path, monkeypatch, capsys, per_rule, emptied_by):
+        monkeypatch.chdir(tmp_path)
+        for args in self.DENSE:
+            assert cli.main(args) == 0
+        capsys.readouterr()
+        assert cli.main([*self.SELECT, "--per-rule", per_rule]) == 2
+        assert capsys.readouterr().err == f"kgreason: data error: {emptied_by}\n"
+        assert not (tmp_path / "pool.tsv").exists()
+        assert not (tmp_path / "map.tsv").exists()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert "select" not in manifest["stages"]
 
 
 class TestConfigFile:
@@ -784,6 +851,11 @@ class TestStageImports:
 
     def test_cli_import_leaves_stage_modules_out(self):
         code = "import kgreason.cli\nkgreason.cli.build_parser()"
+        assert self.loaded_after(code) == "[]"
+
+    def test_selection_leaves_explore_out(self):
+        # select builds its probe oracle in selection alone.
+        code = "import kgreason.cli\nimport kgreason.selection"
         assert self.loaded_after(code) == "[]"
 
     def test_probe_sees_a_loaded_stage_module(self):

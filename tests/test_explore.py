@@ -31,14 +31,13 @@ from kgreason.explore import (
     explore,
     explore_samples,
     order_candidates,
-    probe_from_client,
     render_trace,
 )
 from kgreason.generation import render_chain_answer, sample_id_for
 from kgreason.kg import Triple
 from kgreason.mining import ground_rule
 from kgreason.rules import Rule, RuleStats
-from kgreason.selection import SelectionPool
+from kgreason.selection import SelectionPool, probe_from_client
 from kgreason.templates import SIDE_OBJECT, SIDE_SUBJECT, TemplateLibrary
 
 from conftest import kg_from
@@ -153,18 +152,6 @@ class TestProbeFactOracle:
         v = kg.entity_id("vevedgta")
         fc = kg.relation_id("from_country")
         assert probe(Triple(c, fc, v)) != VERDICT_KNOWN
-
-    def test_probe_from_client_honors_name_override(self):
-        kg = citizen_kg()
-        library = TemplateLibrary.builtin()
-        client = mock_client({"Zorp is a part of Blim.": VERDICT_KNOWN})
-        names = {"anykid": "Zorp", "cckqlvy": "Blim"}
-        probe = probe_from_client(
-            kg, library, client, name_of=lambda e: names[kg.entity_name(e)]
-        )
-        a, c = kg.entity_id("anykid"), kg.entity_id("cckqlvy")
-        rid = kg.relation_id("part_of")
-        assert probe(Triple(a, rid, c)) == VERDICT_KNOWN
 
 
 class TestOrderCandidates:
@@ -720,7 +707,7 @@ class TestExploreSamples:
             kg.entity_id("cckqlvy"): "Blim",
             kg.entity_id("vevedgta"): "Krag",
         }
-        samples, counts, minted = explore_samples(
+        samples, counts, grown = explore_samples(
             kg,
             self.pool_for(kg, setting="anonymized", name_map=name_map),
             TemplateLibrary.builtin(),
@@ -735,9 +722,12 @@ class TestExploreSamples:
         assert "anykid" not in sample.answer
         # The abandoned path walked through acme, which the pool never
         # selected; it must surface under a freshly minted synthetic name.
+        # The grown map keeps every pool name and adds acme's.
+        acme = kg.entity_id("acme")
         assert counts["minted_names"] == 1
-        assert set(minted) == {kg.entity_id("acme")}
-        alias = minted[kg.entity_id("acme")]
+        assert grown.keys() - name_map.keys() == {acme}
+        assert {e: grown[e] for e in name_map} == name_map
+        alias = grown[acme]
         assert re.fullmatch(r"[A-Z][a-z]{2,7}", alias)
         assert alias not in {"Zorp", "Blim", "Krag"}
         assert "acme" not in sample.answer
@@ -755,7 +745,7 @@ class TestExploreSamples:
             self.library(),
             KgFactOracle(kg),
         )
-        assert again[2] == minted
+        assert again[2] == grown
         assert again[0][0].answer == sample.answer
 
     def test_polisher_applied_with_fallback_guard(self):

@@ -26,9 +26,6 @@ ALLOWED = {
     "name_alternation",
     # perfbench/tracer.py reads it from each explore() result.
     "ExplorationTrace.trials",
-    # perfbench/tracer.py counts pool instances with select_pipeline's
-    # result[0].size().
-    "SelectionPool.size",
 }
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,15 +19,16 @@ from kgreason.rules import Rule, RuleInstance
 from kgreason.selection import (
     SETTING_ANONYMIZED,
     SETTING_REGULAR,
-    AnonymizationMap,
     anonymize,
     balance_instances,
     extend_name_map,
     leakage_filter,
     probe_filter,
+    read_name_map,
     read_pool,
     rebalance_min,
     select_pipeline,
+    write_name_map,
     write_pool,
 )
 
@@ -235,8 +237,7 @@ class TestAnonymize:
 
     def test_name_style_and_injectivity(self):
         kg, pool = self.graph_pool()
-        out, mapping = anonymize(pool, kg)
-        names = list(mapping.entries.values())
+        names = list(anonymize(pool, kg).name_map.values())
         assert len(names) == len(set(names)) == 3
         for name in names:
             assert re.fullmatch(r"[A-Z][a-z]{2,7}", name)
@@ -244,22 +245,21 @@ class TestAnonymize:
 
     def test_same_entity_same_name_across_instances(self):
         kg, pool = self.graph_pool()
-        out, mapping = anonymize(pool, kg)
+        out = anonymize(pool, kg)
         bob = kg.entity_id("bob")
-        assert out.display_name(kg, bob) == mapping.entries[bob]
+        assert out.display_name(kg, bob) == out.name_map[bob]
 
     def test_same_seed_reproduces_map(self):
         kg, pool = self.graph_pool()
-        _, m1 = anonymize(pool, kg, seed=5)
-        _, m2 = anonymize(pool, kg, seed=5)
-        assert m1.entries == m2.entries
+        pool = replace(pool, seed=5)
+        assert anonymize(pool, kg).name_map == anonymize(pool, kg).name_map
 
     def test_map_file_round_trip(self, tmp_path):
         kg, pool = self.graph_pool()
-        _, mapping = anonymize(pool, kg)
+        name_map = anonymize(pool, kg).name_map
         path = tmp_path / "map.tsv"
-        mapping.save(path, kg)
-        assert AnonymizationMap.load(path, kg).entries == mapping.entries
+        assert write_name_map(path, kg, name_map) == 3
+        assert read_name_map(path, kg) == name_map
 
     def test_map_file_without_synthetic_name_rejected(self, tmp_path):
         # An empty name would be a mention everywhere in a model output.
@@ -267,7 +267,26 @@ class TestAnonymize:
         path = tmp_path / "map.tsv"
         path.write_text("bob\t\n", encoding="utf-8")
         with pytest.raises(DataError):
-            AnonymizationMap.load(path, kg)
+            read_name_map(path, kg)
+
+    @pytest.mark.parametrize(
+        "second, why",
+        [
+            ("alice\tQux", "entity 'alice' is mapped twice"),
+            ("bob\tZed", "synthetic name 'Zed' is given twice"),
+            ("bob\tparis", "synthetic name 'paris' is a store name"),
+            ("bob\tbob", "synthetic name 'bob' is a store name"),
+        ],
+    )
+    def test_map_file_must_be_injective(self, tmp_path, second, why):
+        # Two entities under one name would render alike, and evaluation's
+        # inverse map would keep only one of them.
+        kg, _ = self.graph_pool()
+        path = tmp_path / "map.tsv"
+        path.write_text(f"alice\tZed\n\n{second}\n", encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            read_name_map(path, kg)
+        assert str(err.value) == f"{path}: bad map entry on line 3: {why}"
 
 
 class TestExtendNameMap:
@@ -281,25 +300,23 @@ class TestExtendNameMap:
         rule = Rule("ra", ("p", "q"))
         per_rule = {rule.rule_id: list(ground_rule(kg, rule))}
         pool = balance_instances(per_rule, 1, 0, SETTING_ANONYMIZED)
-        pool, _ = anonymize(pool, kg)
-        return kg, pool
+        return kg, anonymize(pool, kg)
 
     def test_covered_ids_are_a_no_op(self):
         kg, pool = self.anonymized_pool()
-        out, added = extend_name_map(pool, kg, pool.entity_ids())
-        assert added == {}
+        out = extend_name_map(pool, kg, pool.entity_ids())
         assert out.name_map == pool.name_map
 
     def test_new_ids_get_disjoint_fresh_names(self):
         kg, pool = self.anonymized_pool()
         outsiders = [kg.entity_id("zoe"), kg.entity_id("rome")]
-        out, added = extend_name_map(pool, kg, outsiders)
+        merged = extend_name_map(pool, kg, outsiders).name_map
+        added = {e: merged[e] for e in merged.keys() - pool.name_map.keys()}
         assert set(added) == set(outsiders)
         for name in added.values():
             assert re.fullmatch(r"[A-Z][a-z]{2,7}", name)
             assert name not in kg.entity_names()
             assert name not in pool.name_map.values()
-        merged = out.name_map
         assert len(set(merged.values())) == len(merged)
         assert merged == {**pool.name_map, **added}
         assert pool.name_map.keys() == set(pool.entity_ids())
@@ -307,9 +324,9 @@ class TestExtendNameMap:
     def test_extension_is_deterministic(self):
         kg, pool = self.anonymized_pool()
         outsiders = [kg.entity_id("rome"), kg.entity_id("zoe")]
-        _, first = extend_name_map(pool, kg, outsiders)
-        _, second = extend_name_map(pool, kg, list(reversed(outsiders)))
-        assert first == second
+        first = extend_name_map(pool, kg, outsiders)
+        second = extend_name_map(pool, kg, list(reversed(outsiders)))
+        assert first.name_map == second.name_map
 
 
 class TestPipelineAndFiles:
@@ -338,14 +355,14 @@ class TestPipelineAndFiles:
         path = tmp_path / "pool.jsonl"
         count = write_pool(path, pool, kg)
         assert count == pool.size()
-        loaded = read_pool(path, kg, seed=pool.seed, name_map=mapping.entries)
+        loaded = read_pool(path, kg, seed=pool.seed, name_map=mapping)
         assert loaded.setting == pool.setting
         assert [i.entities for i in loaded.instances()] == [
             i.entities for i in pool.instances()
         ]
         # File stores original names as join keys, not synthetic ones.
         text = path.read_text()
-        for synthetic in mapping.entries.values():
+        for synthetic in mapping.values():
             assert synthetic not in text
 
     @settings(max_examples=15, deadline=None)
