@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
@@ -42,8 +41,6 @@ if TYPE_CHECKING:
     from .generation import ReasoningSample
     from .selection import SelectionPool
     from .templates import TemplateLibrary
-
-logger = logging.getLogger(__name__)
 
 PROG = "kgreason"
 
@@ -418,7 +415,11 @@ def cmd_explore(opts: Options) -> tuple[int, Counts]:
     if opts.get("map_out"):
         selection.write_name_map(opts.output("map_out", "map"), kg, name_map)
     elif info["minted_names"]:
-        logger.warning(
+        # Imported where it logs, like the stage modules, so that a stage
+        # that never logs does not load it.
+        import logging
+
+        logging.getLogger(__name__).warning(
             "minted %d synthetic names for trace narration; pass --map-out "
             "to persist them for evaluation",
             info["minted_names"],
@@ -590,10 +591,14 @@ STAGES = (
 # ----------------------------------------------------------------------
 # the driver
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The parser for ``argv``: with only the stage that ``argv[0]`` names,
+    else with all of them, so that the help and the error texts that list
+    the stages are the same either way."""
     parser = _Parser(prog=PROG, description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for stage in STAGES:
+    named = [stage for stage in STAGES if argv and stage.name == argv[0]]
+    for stage in named or STAGES:
         p = sub.add_parser(stage.name, help=stage.help)
         p.add_argument("--config", help="key=value option file")
         p.add_argument("--manifest", default="manifest.json")
@@ -626,8 +631,10 @@ def run_stage(stage: Stage, ns: argparse.Namespace) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        ns = build_parser().parse_args(argv)
+        ns = build_parser(argv).parse_args(argv)
         run_stage(next(s for s in STAGES if s.name == ns.command), ns)
         return 0
     except UsageError as exc:

@@ -19,10 +19,11 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
-from itertools import chain
+from bisect import bisect_left
+from itertools import chain, filterfalse
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .artifacts import read_json, read_records, write_lines, write_records
 from .errors import DataError, UsageError
@@ -50,8 +51,7 @@ def normalize_entity(name: str) -> str:
 # ----------------------------------------------------------------------
 # splits
 
-@dataclass(frozen=True)
-class EvalSplit:
+class EvalSplit(NamedTuple):
     """A named bucket of samples: ID/OOD, overall or one hop count."""
 
     name: str
@@ -116,50 +116,68 @@ _NAMED_ANSWER_STARTS = re.compile(f"(?={_NAMED_ANSWER})", re.IGNORECASE)
 _ANSWER_LEAD = re.compile(r"the\s+answer\s+is", re.IGNORECASE)
 
 
-def _case_key(text: str) -> tuple[str, ...]:
+def _case_key(text: str) -> str | tuple[str, ...]:
     """Key under which two strings match each other with ``re.IGNORECASE``.
 
     ``re`` compares one character at a time through its simple lowercase
     form (that of "İ" is "i", the first character of ``"İ".lower()``) plus
     a few extra pairs such as i/ı, s/ſ and σ/ς.  Upper-casing the simple
-    lowercase form merges exactly the same characters.
+    lowercase form merges exactly the same characters.  The per-character
+    keys are joined into one string, which is ``text.upper()`` for ASCII
+    text, unless one of them is longer than a character ("ß" gives "SS"):
+    then they stay a tuple, so two keys are equal exactly when their
+    characters' keys are.  Either way the key has one item per character.
     """
-    return tuple(c.lower()[0].upper() for c in text)
+    if text.isascii():
+        return text.upper()
+    parts = [c.lower()[0].upper() for c in text]
+    joined = "".join(parts)
+    return joined if len(joined) == len(text) else tuple(parts)
+
+
+def _case_keys(names: set[str]) -> set:
+    """The case keys of ``names``, the ASCII ones upper-cased in bulk."""
+    keys = set(map(str.upper, filter(str.isascii, names)))
+    keys.update(map(_case_key, filterfalse(str.isascii, names)))
+    return keys
 
 
 class _Text:
-    """A text and the positions where a name may start in it."""
+    """A text, the positions where a name may start in it and those where
+    one may end."""
 
     def __init__(self, text: str):
         self.text = text
         self.starts = [m.start() for m in _BOUNDARIES.finditer(text)]
         self.start_set = set(self.starts)
-
-    def may_end(self, pos: int) -> bool:
-        """True when no word character is at ``pos``."""
-        return pos == len(self.text) or pos + 1 in self.start_set
+        # Every start past position 0 follows a non-word character, where a
+        # name may end; so it may at the end of the text.
+        self.end_set = {pos - 1 for pos in self.starts[1:]}
+        self.end_set.add(len(text))
 
 
 class _NameIndex:
-    """A set of names with their lengths by first character.
+    """A set of non-empty names with their lengths by first character.
 
-    Names and text slices are compared under ``key``.  The empty name is
-    never found.
+    The index holds the names' keys and compares a text slice by its
+    ``key``; with no key, names and slices are compared as they are.
     """
 
-    def __init__(self, names: Iterable[str], key=lambda name: name):
+    def __init__(
+        self,
+        keys: set,
+        key: Optional[Callable[[str], str | tuple[str, ...]]] = None,
+    ):
         self._key = key
-        self._keys: set = set()
+        self._keys = keys
+        # A key has one item per character of its name.
         lengths: dict = {}
-        for name in names:
-            if name:
-                keyed = key(name)
-                self._keys.add(keyed)
-                lengths.setdefault(keyed[0], set()).add(len(name))
+        for first, length in set(zip(map(itemgetter(0), keys), map(len, keys))):
+            lengths.setdefault(first, []).append(length)
         self._lengths = {
             first: sorted(found, reverse=True) for first, found in lengths.items()
         }
-        self.lengths = sorted(set().union(*lengths.values()))
+        self.lengths = sorted({n for found in lengths.values() for n in found})
 
     def ends(self, text: _Text, start: int) -> list[int]:
         """Ends of the names at ``start``, longest first.
@@ -170,16 +188,18 @@ class _NameIndex:
         raw = text.text
         if start not in text.start_set or start >= len(raw):
             return []
-        ends = []
-        for length in self._lengths.get(self._key(raw[start])[0], ()):
-            end = start + length
-            if (
-                end <= len(raw)
-                and text.may_end(end)
-                and self._key(raw[start:end]) in self._keys
-            ):
-                ends.append(end)
-        return ends
+        key, keys, end_set = self._key, self._keys, text.end_set
+        if key is None:
+            return [
+                end
+                for length in self._lengths.get(raw[start], ())
+                if (end := start + length) in end_set and raw[start:end] in keys
+            ]
+        return [
+            end
+            for length in self._lengths.get(key(raw[start])[0], ())
+            if (end := start + length) in end_set and key(raw[start:end]) in keys
+        ]
 
 
 def _colon_gap_ends(raw: str, pos: int) -> list[int]:
@@ -194,8 +214,7 @@ def _colon_gap_ends(raw: str, pos: int) -> list[int]:
     return ends
 
 
-@dataclass(frozen=True)
-class ParsedPrediction:
+class ParsedPrediction(NamedTuple):
     """Structured view of one raw output."""
 
     raw: str
@@ -230,16 +249,17 @@ class OutputParser:
         rule_formulas: Optional[Mapping[str, str]] = None,
     ):
         names = set(names)
+        names.discard("")
         self._names = _NameIndex(names)
-        self._answer_names = _NameIndex(names, _case_key)
+        self._answer_names = _NameIndex(_case_keys(names), _case_key)
         self._fact_pieces = [
             (rel, library.relation(rel).pieces()) for rel in sorted(set(relations))
         ]
         self._formulas = dict(rule_formulas or {})
 
-    def extract_prediction(self, raw: str) -> Optional[str]:
+    def extract_prediction(self, raw: str | _Text) -> Optional[str]:
         """Predicted entity: terminal answer pattern, else last known name."""
-        text = _Text(raw)
+        text = raw if isinstance(raw, _Text) else _Text(raw)
         best: Optional[tuple[int, str]] = None
         for start, name in chain(self._named_answers(text), self._answer_leads(text)):
             if best is None or start >= best[0]:
@@ -250,13 +270,14 @@ class OutputParser:
         pos = 0
         for start, ends in self._mentions(text).items():
             if start >= pos:
-                last, pos = raw[start : ends[0]], ends[0]
+                last, pos = text.text[start : ends[0]], ends[0]
         return last
 
-    def _mentions(self, text: _Text) -> dict[int, list[int]]:
-        """Ends of the names at each start, longest first, by start."""
+    def _mentions(self, text: _Text, begin: int = 0) -> dict[int, list[int]]:
+        """Ends of the names at each start from ``begin`` on, longest first,
+        by start."""
         found = {}
-        for start in text.starts:
+        for start in text.starts[bisect_left(text.starts, begin) :]:
             ends = self._names.ends(text, start)
             if ends:
                 found[start] = ends
@@ -290,21 +311,42 @@ class OutputParser:
                     pos = ends[0]
                     break
 
-    def find_facts(self, text: str) -> list[tuple[str, str, str]]:
-        """Template matches as (subject, relation, object), by position.
+    def find_facts(
+        self, text: str | _Text, begin: int = 0
+    ) -> list[tuple[str, str, str]]:
+        """Template matches in the text from ``begin`` on as (subject,
+        relation, object), by position.
 
         Matches from different relations may overlap: a sentence like
         "A has cast member B, who speaks C" states two facts sharing the
         pivot mention of B, and both must survive.  Within one relation,
         matches do not overlap and the leftmost wins.
         """
-        indexed = _Text(text)
-        mentions = self._mentions(indexed)
+        indexed = text if isinstance(text, _Text) else _Text(text)
+        if begin not in indexed.start_set:
+            # A word character comes just before ``begin``, so the text from
+            # there on has a name boundary at ``begin`` that this one lacks.
+            indexed, begin = _Text(indexed.text[begin:]), 0
+        raw = indexed.text
+        tail = raw[begin:]
+        mentions = self._mentions(indexed, begin)
+        # With no lead, a sentence starts at a mention that ``middle``
+        # follows; many relations share one middle.
+        before: dict[str, list[int]] = {}
         hits: list[tuple[int, int, tuple[str, str, str]]] = []
         for rel, (lead, slot, middle, _, trail) in self._fact_pieces:
-            if lead not in text or middle not in text or trail not in text:
+            if lead not in tail or middle not in tail or trail not in tail:
                 continue
-            starts = _occurrences(text, lead) if lead else list(mentions)
+            if lead:
+                starts = _occurrences(raw, lead, begin)
+            else:
+                if middle not in before:
+                    before[middle] = [
+                        start
+                        for start, ends in mentions.items()
+                        if any(raw.startswith(middle, end) for end in ends)
+                    ]
+                starts = before[middle]
             pos = 0
             for start in starts:
                 if start < pos:
@@ -327,17 +369,19 @@ class OutputParser:
             if pos >= 0 and pos + len(formula) >= tail_start:
                 tail_start = pos + len(formula)
                 final_rule_id = rule_id
+        text = _Text(raw)
         return ParsedPrediction(
             raw=raw,
-            predicted=self.extract_prediction(raw),
+            predicted=self.extract_prediction(text),
             final_rule_id=final_rule_id,
-            facts=tuple(self.find_facts(raw[tail_start:])),
+            facts=tuple(self.find_facts(text, tail_start)),
         )
 
 
-def _occurrences(text: str, piece: str) -> Iterator[int]:
-    """Every start of ``piece`` in ``text``, overlapping ones included."""
-    pos = text.find(piece)
+def _occurrences(text: str, piece: str, begin: int) -> Iterator[int]:
+    """Every start of ``piece`` in ``text`` from ``begin`` on, overlapping
+    ones included."""
+    pos = text.find(piece, begin)
     while pos >= 0:
         yield pos
         pos = text.find(piece, pos + 1)
@@ -359,7 +403,7 @@ def _match_fact(
             second_at = first_end + len(middle)
             for second_end in mentions.get(second_at, ()):
                 end = second_end + len(trail)
-                if raw.startswith(trail, second_end) and text.may_end(end):
+                if raw.startswith(trail, second_end) and end in text.end_set:
                     return raw[first_at:first_end], raw[second_at:second_end], end
     return None
 
@@ -367,8 +411,7 @@ def _match_fact(
 # ----------------------------------------------------------------------
 # scoring
 
-@dataclass(frozen=True)
-class MatchScore:
+class MatchScore(NamedTuple):
     correct: int
     total: int
 
@@ -420,10 +463,9 @@ def rule_length_usage(
 # ----------------------------------------------------------------------
 # error classification
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str
-    fact_indices: tuple[int, ...] = field(default=())
+    fact_indices: tuple[int, ...] = ()
 
     @property
     def label(self) -> str:
@@ -490,8 +532,7 @@ def classify_error(
 # ----------------------------------------------------------------------
 # report
 
-@dataclass
-class SplitResult:
+class SplitResult(NamedTuple):
     split_key: str
     samples: int
     match: MatchScore
@@ -514,8 +555,7 @@ class SplitResult:
         }
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     results: list[SplitResult]
 
     def to_json(self) -> str:
@@ -563,12 +603,12 @@ class Evaluator:
                 raise DataError(
                     f"name {name!r} maps to {eid!r}, not an entity id of the graph"
                 )
-        names = list(kg.entity_names()) + list(self.extra_names)
-        self.name_to_id = {name: kg.entity_id(name) for name in kg.entity_names()}
+        # Ids are positions in the name table.
+        self.name_to_id = dict(zip(kg.entity_names(), range(kg.num_entities)))
         self.name_to_id.update(self.extra_names)
         self.parser = OutputParser(
             kg.relation_names(),
-            names,
+            self.name_to_id,
             templates,
             {st.rule.rule_id: st.rule.formula() for st in self.stats},
         )

@@ -244,39 +244,47 @@ def _ground_chain(rule: Rule, known: int, known_side: str, oracle):
     unprovable from its grounded prefix.
     """
     rel_ids = [oracle.relation_id(name) for name in rule.body_relations]
-    hop = rule.hop
+    # Walk from the known entity: forward along the body, or backward from
+    # its last atom; a walked path reversed is a backward chain.
     forward = known_side == SIDE_SUBJECT
+    step = oracle.successors if forward else oracle.predecessors
+    deepest = [(known,)]
+    path = _first_path(step, rel_ids if forward else rel_ids[::-1], (known,), deepest)
+    if path is not None:
+        return (path if forward else path[::-1]), None
+    stall = deepest[0]
+    depth = len(stall) - 1
+    return None, MissingFact(
+        rule=rule,
+        atom_index=depth if forward else rule.hop - 1 - depth,
+        grounded=stall if forward else stall[::-1],
+    )
 
-    best_depth = -1
-    best_chain: tuple[int, ...] = (known,)
 
-    def step_candidates(chain: tuple[int, ...], depth: int) -> list[int]:
-        if forward:
-            return oracle.successors(chain[-1], rel_ids[depth])
-        return oracle.predecessors(chain[0], rel_ids[hop - 1 - depth])
+def _first_path(
+    step: Callable[[int, int], Sequence[int]],
+    rels: Sequence[int],
+    path: tuple[int, ...],
+    deepest: list[tuple[int, ...]],
+) -> Optional[tuple[int, ...]]:
+    """The first full walk along ``rels`` that extends ``path``, trying each
+    step's candidates in order, or None.  ``deepest[0]`` becomes the first
+    walk that stalls deeper than it.
 
-    def dfs(chain: tuple[int, ...], depth: int) -> Optional[tuple[int, ...]]:
-        nonlocal best_depth, best_chain
-        if depth == hop:
-            return chain
-        nexts = step_candidates(chain, depth)
-        if not nexts:
-            if depth > best_depth:
-                best_depth = depth
-                best_chain = chain
-            return None
-        for nxt in nexts:
-            extended = chain + (nxt,) if forward else (nxt,) + chain
-            found = dfs(extended, depth + 1)
-            if found is not None:
-                return found
-        return None
-
-    solution = dfs((known,), 0)
-    if solution is not None:
-        return solution, None
-    atom_index = best_depth if forward else hop - 1 - best_depth
-    return None, MissingFact(rule=rule, atom_index=atom_index, grounded=best_chain)
+    A module-level function rather than a closure that names itself, so no
+    reference cycle keeps the oracle's graph alive after the search.
+    """
+    depth = len(path) - 1
+    if depth == len(rels):
+        return path
+    nexts = step(path[-1], rels[depth])
+    if not nexts and len(path) > len(deepest[0]):
+        deepest[0] = path
+    for nxt in nexts:
+        found = _first_path(step, rels, path + (nxt,), deepest)
+        if found is not None:
+            return found
+    return None
 
 
 def explore(

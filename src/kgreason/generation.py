@@ -11,7 +11,6 @@ render with synthetic names throughout.
 from __future__ import annotations
 
 import hashlib
-import logging
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,8 +28,6 @@ from .templates import (
     QuestionTemplate,
     TemplateLibrary,
 )
-
-logger = logging.getLogger(__name__)
 
 QUERY_SKIP = "skip"
 
@@ -114,7 +111,10 @@ def validated_polish(polisher, text: str, required_names: Iterable[str]) -> str:
     polished = polisher(POLISH_INSTRUCTION, text)
     missing = [name for name in required_names if name not in polished]
     if missing:
-        logger.warning(
+        # Imported here, so that a stage that never logs does not load it.
+        import logging
+
+        logging.getLogger(__name__).warning(
             "polished text dropped entity mentions %s; keeping original", missing
         )
         return text

@@ -2,18 +2,23 @@
 
 Entities and relations get dense ids in sorted name order, so no query
 depends on the order triples arrive in.  With ``E`` entities and ``R``
-relations, fact (h, r, t) is the int ``(h·R + r)·E + t`` in one fact set.
-``_succ`` maps ``h·R + r`` to the tails, ``_pred`` maps ``t·R + r`` to the
-heads, and ``_rel_pairs`` lists each relation's (head, tail) pairs.
-Per-entity ``out_edges`` lists are built from ``_succ`` on first use.
+relations, fact (h, r, t) is the int ``(h·R + r)·E + t`` in one fact set,
+which ``holds`` and ``num_triples`` read.  The adjacency indexes are built
+together on the first adjacency query and not before, so a stage that only
+checks facts or saves never pays for them: ``_succ`` maps ``h·R + r`` to the
+tails, ``_pred`` maps ``t·R + r`` to the heads, ``_rel_pairs`` lists each
+relation's (head, tail) pairs and ``_out`` holds per-entity ``out_edges``.
+Until then the graph keeps its id triples, which ``save`` writes as they are.
 
 Canonical order: a saved store lists its names strictly ascending and its
 triples strictly ascending by (h, r, t).  Read in that order, every id lands
 in its list already sorted, so one pass over the id triples builds every
-index.  ``load`` checks the order as it validates; a hand-made store out of
-it is remapped and sorted once and loads equal to its canonical form.
+index.  ``load`` checks the order and fills the fact set as it validates; a
+hand-made store out of it is remapped and sorted once and loads equal to its
+canonical form.
 
-The store is immutable and safe to query from several threads.  Ids are
+The store is immutable and safe to query from several threads (two threads
+that race to build the indexes build equal ones).  Ids are
 checked once, where they enter: ``entity_id`` and ``relation_id`` raise
 UnknownSymbolError for an unknown name, and ``load`` rejects a triple with
 an id out of range.  The graph queries ``tails``, ``heads``,
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .artifacts import open_text, read_fields, read_json, write_lines
 from .errors import DataError, UnknownSymbolError
@@ -93,6 +98,7 @@ class KnowledgeGraph:
         "_n_entities",
         "_n_relations",
         "_facts",
+        "_triples",
         "_succ",
         "_pred",
         "_rel_pairs",
@@ -113,7 +119,9 @@ class KnowledgeGraph:
             triples = {(eids[h], rids[r], eids[t]) for h, r, t in name_triples}
         except KeyError as exc:  # pragma: no cover - constructor misuse
             raise UnknownSymbolError(f"symbol not in name tables: {exc}") from exc
-        self._index(sorted(triples))
+        n_ent, n_rel = self._n_entities, self._n_relations
+        self._facts = {(h * n_rel + r) * n_ent + t for h, r, t in triples}
+        self._triples = sorted(triples)
 
     def _intern(self, entity_names: list[str], relation_names: list[str]) -> None:
         """Take sorted, distinct name tables; ids are list positions."""
@@ -126,22 +134,37 @@ class KnowledgeGraph:
         self._n_entities = len(entity_names)
         self._n_relations = len(relation_names)
 
-    def _index(self, triples: Iterable[Sequence[int]]) -> None:
-        """One pass over id triples in strictly ascending (h, r, t) order."""
-        n_ent, n_rel = self._n_entities, self._n_relations
-        self._facts: set[int] = set()
-        self._succ: defaultdict[int, list[int]] = defaultdict(list)
-        self._pred: defaultdict[int, list[int]] = defaultdict(list)
-        self._rel_pairs: list[list[tuple[int, int]]] = [[] for _ in range(n_rel)]
-        self._out: Optional[dict[int, list[tuple[int, int]]]] = None
-        add_fact, succ, pred, pairs = (
-            self._facts.add, self._succ, self._pred, self._rel_pairs
-        )
+    def __getattr__(self, name: str):
+        # Only an index slot that is not built yet gets here.
+        if name == "_out":
+            out: dict[int, list[tuple[int, int]]] = {}
+            for key in sorted(self._succ):
+                h, r = divmod(key, self._n_relations)
+                out.setdefault(h, []).extend(zip(repeat(r), self._succ[key]))
+            self._out = out
+        elif name in ("_succ", "_pred", "_rel_pairs"):
+            self._index()
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
+
+    @_gc_paused()
+    def _index(self) -> None:
+        """One pass over the kept id triples, in strictly ascending (h, r, t)
+        order, builds the adjacency indexes; the triples then go."""
+        triples = self._triples
+        if triples is None:  # another thread has just built them
+            return
+        succ: defaultdict[int, list[int]] = defaultdict(list)
+        pred: defaultdict[int, list[int]] = defaultdict(list)
+        pairs: list[list[tuple[int, int]]] = [[] for _ in range(self._n_relations)]
+        n_rel = self._n_relations
         for h, r, t in triples:
-            add_fact((h * n_rel + r) * n_ent + t)
             succ[h * n_rel + r].append(t)
             pred[t * n_rel + r].append(h)
             pairs[r].append((h, t))
+        self._succ, self._pred, self._rel_pairs = succ, pred, pairs
+        self._triples = None
 
     # ------------------------------------------------------------------
     # construction
@@ -219,12 +242,6 @@ class KnowledgeGraph:
     # ------------------------------------------------------------------
     # queries
 
-    def _id_triples(self) -> Iterator[tuple[int, int, int]]:
-        for hr in sorted(self._succ):
-            h, r = divmod(hr, self._n_relations)
-            for t in self._succ[hr]:
-                yield h, r, t
-
     def stats(self) -> dict[str, int]:
         return {
             "entities": self.num_entities,
@@ -250,12 +267,6 @@ class KnowledgeGraph:
     def out_edges(self, eid: int) -> Sequence[tuple[int, int]]:
         """Outgoing edges of ``eid`` as (relation id, tail id) pairs, in
         canonical order: ascending relation id, then tail id."""
-        if self._out is None:
-            out: dict[int, list[tuple[int, int]]] = {}
-            for key in sorted(self._succ):
-                h, r = divmod(key, self._n_relations)
-                out.setdefault(h, []).extend(zip(repeat(r), self._succ[key]))
-            self._out = out
         return self._out.get(eid, ())
 
     def max_out_degree(self) -> int:
@@ -270,11 +281,19 @@ class KnowledgeGraph:
     # persistence
 
     def save(self, path: str | Path) -> None:
+        triples = self._triples
+        if triples is None:
+            # Indexed already: decode the facts, whose ints sort canonically.
+            n_ent, n_rel = self._n_entities, self._n_relations
+            triples = [
+                (*divmod(key // n_ent, n_rel), key % n_ent)
+                for key in sorted(self._facts)
+            ]
         payload = {
             "format_version": STORE_FORMAT_VERSION,
             "entities": self._entity_names,
             "relations": self._relation_names,
-            "triples": [[h, r, t] for h, r, t in self._id_triples()],
+            "triples": triples,
         }
         # json.dumps runs the C encoder; json.dump would not.
         write_lines(
@@ -303,6 +322,8 @@ class KnowledgeGraph:
         if not isinstance(triples, list):
             raise DataError(f"{path}: 'triples' must be a list")
         n_ent, n_rel = len(entities), len(relations)
+        facts: set[int] = set()
+        add_fact = facts.add
         canonical = True
         last = -1
         for triple in triples:
@@ -315,6 +336,7 @@ class KnowledgeGraph:
             ):
                 raise DataError(f"{path}: bad triple ids: {triple!r}")
             key = (h * n_rel + r) * n_ent + t
+            add_fact(key)
             canonical = canonical and key > last
             last = key
         if entities != sorted(entities) or relations != sorted(relations):
@@ -325,5 +347,6 @@ class KnowledgeGraph:
             )
         graph = cls.__new__(cls)
         graph._intern(entities, relations)
-        graph._index(triples if canonical else sorted(set(map(tuple, triples))))
+        graph._facts = facts
+        graph._triples = triples if canonical else sorted(set(map(tuple, triples)))
         return graph

@@ -138,17 +138,24 @@ def iter_body_groundings(kg: KnowledgeGraph, rule: Rule) -> Iterator[tuple[int, 
             return
         rels.append(kg.relation_id(name))
 
-    hop = len(rels)
-
-    def extend(prefix: tuple[int, ...], depth: int) -> Iterator[tuple[int, ...]]:
-        if depth == hop:
-            yield prefix
-            return
-        for nxt in kg.tails(prefix[-1], rels[depth]):
-            yield from extend(prefix + (nxt,), depth + 1)
-
     for h, t in kg.relation_pairs(rels[0]):
-        yield from extend((h, t), 1)
+        yield from _extensions(kg, rels, (h, t))
+
+
+def _extensions(
+    kg: KnowledgeGraph, rels: Sequence[int], prefix: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    """Every full binding that starts with ``prefix``, extensions ascending.
+
+    A module-level function rather than a closure that names itself, so no
+    reference cycle keeps the graph alive after the stream ends.
+    """
+    depth = len(prefix) - 1
+    if depth == len(rels):
+        yield prefix
+        return
+    for nxt in kg.tails(prefix[-1], rels[depth]):
+        yield from _extensions(kg, rels, prefix + (nxt,))
 
 
 def ground_rule(kg: KnowledgeGraph, rule: Rule) -> Iterator[RuleInstance]:

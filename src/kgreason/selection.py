@@ -15,7 +15,6 @@ in the map file; they are applied at render time.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -23,14 +22,11 @@ from string import ascii_lowercase, ascii_uppercase
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .artifacts import open_text, read_fields, read_records, write_lines, write_records
-from .client import VERDICT_KNOWN, VERDICT_UNDECIDED, VERDICT_UNKNOWN
 from .errors import DataError, UsageError
 from .kg import KnowledgeGraph, Triple
 from .rules import Rule, RuleInstance
 from .seeding import derive_seed
 from .templates import TemplateLibrary
-
-logger = logging.getLogger(__name__)
 
 SETTING_ANONYMIZED = "anonymized"
 SETTING_REGULAR = "regular"
@@ -102,7 +98,10 @@ def balance_instances(
         instances = per_rule[rule_id]
         if len(instances) < n:
             rules_dropped += 1
-            logger.info(
+            # Imported here, so that a stage that never logs does not load it.
+            import logging
+
+            logging.getLogger(__name__).info(
                 "dropping rule %s: %d instances < %d", rule_id, len(instances), n
             )
             continue
@@ -178,6 +177,10 @@ def probe_filter(
     excludes the instance and is counted separately.  The caller is expected
     to rebalance afterwards.
     """
+    # Imported here, so that evaluate, which imports this module for the
+    # name map, does not load the model client.
+    from .client import VERDICT_KNOWN, VERDICT_UNDECIDED, VERDICT_UNKNOWN
+
     if pool.setting != SETTING_REGULAR:
         raise UsageError("probe filter applies to the regular setting only")
     removed = 0

@@ -8,6 +8,7 @@ reproducibility check.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
@@ -19,6 +20,7 @@ import pytest
 
 from kgreason import cli
 from kgreason.errors import ClientError
+from kgreason.kg import KnowledgeGraph
 from kgreason.manifest import file_digest
 from kgreason.rules import Rule, RuleStats, read_rules, write_rules
 
@@ -556,6 +558,30 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "report.json").exists()
 
+    def test_evaluate_builds_no_adjacency_index(
+        self, pipeline_dir, tmp_path, monkeypatch
+    ):
+        # Evaluate only checks facts, so the store's adjacency is never built.
+        def refuse(self):
+            raise AssertionError("evaluate built the adjacency indexes")
+
+        monkeypatch.setattr(KnowledgeGraph, "_index", refuse)
+        monkeypatch.chdir(tmp_path)
+        code = cli.main([
+            "evaluate", "--store", str(pipeline_dir / "store.json"),
+            "--library", str(pipeline_dir / "library.tsv"),
+            "--splits", str(pipeline_dir / "splits.json"),
+            "--samples", str(pipeline_dir / "samples.jsonl"),
+            str(pipeline_dir / "trial_samples.jsonl"),
+            "--predictions", str(pipeline_dir / "preds.jsonl"),
+            str(pipeline_dir / "trial_preds.jsonl"),
+            "--map", str(pipeline_dir / "trial_map.tsv"), "--report", "report.json",
+        ])
+        assert code == 0
+        assert (tmp_path / "report.json").read_bytes() == (
+            pipeline_dir / "report.json"
+        ).read_bytes()
+
     def test_evaluate_rejects_non_string_prediction(self, pipeline_dir, tmp_path):
         proc = self.evaluate_with(
             pipeline_dir, tmp_path, predictions='{"id": "x", "output": 5}\n'
@@ -853,6 +879,22 @@ class TestStageImports:
         code = "import kgreason.cli\nkgreason.cli.build_parser()"
         assert self.loaded_after(code) == "[]"
 
+    def test_evaluation_leaves_the_client_and_logging_out(self):
+        # evaluate reads the name map through selection, which needs the
+        # client's verdicts only when it probes; nothing evaluate runs logs.
+        code = (
+            "import sys\nimport kgreason.cli, kgreason.evaluation, kgreason.selection\n"
+            "print(sorted({'kgreason.client', 'logging'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": SOURCE_ROOT},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout.strip() == "[]"
+
     def test_selection_leaves_explore_out(self):
         # select builds its probe oracle in selection alone.
         code = "import kgreason.cli\nimport kgreason.selection"
@@ -863,3 +905,52 @@ class TestStageImports:
         assert self.loaded_after(code) == str(
             ["kgreason.explore", "kgreason.generation"]
         )
+
+
+class TestCliText:
+    """Building only the named stage's parser changes no text the command
+    line prints.  ``tests/cli_text.json`` holds the help and error texts as
+    the parser with every stage printed them, at 80 columns."""
+
+    PINNED = json.loads(
+        (Path(__file__).resolve().parent / "cli_text.json").read_text(encoding="utf-8")
+    )
+
+    @pytest.mark.skipif(
+        "%d.%d" % sys.version_info[:2] != PINNED["python"],
+        reason="argparse formats help differently in other Python versions",
+    )
+    @pytest.mark.parametrize(
+        "case", PINNED["cases"], ids=lambda case: " ".join(case["argv"]) or "no-args"
+    )
+    def test_same_bytes(self, tmp_path, case):
+        env = {**os.environ, "PYTHONPATH": SOURCE_ROOT, "COLUMNS": "80"}
+        env.pop("LINES", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "kgreason", *case["argv"]],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            case["exit"], case["stdout"], case["stderr"]
+        )
+
+    def test_every_stage_is_pinned(self):
+        cases = self.PINNED["cases"]
+        helped = {c["argv"][0] for c in cases if c["argv"][1:] == ["--help"]}
+        assert helped == {stage.name for stage in cli.STAGES}
+
+    def test_option_value_naming_a_stage(self):
+        argv = ["evaluate", "--report", "select"]
+        ns = cli.build_parser(argv).parse_args(argv)
+        assert (ns.command, ns.report) == ("evaluate", "select")
+
+    def test_main_leaves_the_collector_unfrozen(self, tmp_path):
+        # Only `python -m kgreason` freezes the heap at exit; in-process
+        # callers such as the tests and the benchmark's tracer keep theirs.
+        store = tmp_path / "store.json"
+        KnowledgeGraph.from_lines(["a\tr\tb"]).save(store)
+        assert cli.main(["stats", "--store", str(store)]) == 0
+        assert gc.get_freeze_count() == 0

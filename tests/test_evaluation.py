@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import string
 import sys
 
 import pytest
@@ -342,6 +343,19 @@ _MIDDLES = [
 ]
 _TRAILS = ["", "", ".", "!", " indeed.", " today"]
 _CASINGS = (str, str.upper, str.lower, str.swapcase, str.title)
+# ASCII and the letters whose case key is unusual, for the case key
+# property; and for each such letter the characters re.IGNORECASE may
+# match it with (a generator's bias only: the property asks re itself).
+_KEY_ALPHABET = (
+    string.ascii_letters + string.digits + " _." + "\u212a\u017f\u0131\u0130\u00df\u03c3\u03c2"
+)
+_KIN = {
+    **{c: "kK\u212a" for c in "kK\u212a"},
+    **{c: "sS\u017f" for c in "sS\u017f"},
+    **{c: "iI\u0131\u0130" for c in "iI\u0131\u0130"},
+    **{c: "\u03c3\u03c2\u03a3" for c in "\u03c3\u03c2"},
+    "\u00df": "\u00df\u1e9e",
+}
 
 
 def _random_word(rng: random.Random) -> str:
@@ -469,6 +483,58 @@ class TestRegexAgreement:
         fast, slow = OutputParser(*args), RegexOutputParser(*args)
         for raw in (OUT_CORRECT, OUT_RULE_ERROR, OUT_FACT1, OUT_FACT2, OUT_ALT):
             assert fast.parse(raw) == slow.parse(raw)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_case_keys_equal_exactly_when_ignorecase_matches(self, data):
+        a = data.draw(st.text(alphabet=_KEY_ALPHABET, max_size=6))
+        # Each character of b is a case relative of a's, or any at all.
+        b = "".join(
+            data.draw(st.sampled_from(_KIN.get(c, c) + _KEY_ALPHABET[::7])) for c in a
+        )
+        matches = re.fullmatch(re.escape(a), b, re.IGNORECASE) is not None
+        assert (_case_key(a) == _case_key(b)) == matches
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**30))
+    def test_case_relatives_parse_equal_regex_oracle(self, seed):
+        """Answer sentences that name an entity through the case relatives
+        of its characters, for names of ASCII letters, of letters whose
+        case key is one character (ſ, ı, İ, K, σ, ς) and of ß, whose key is
+        two."""
+        rng = random.Random(seed)
+        letters = "sikSIKab" + "".join(_KIN) + " "
+        names = sorted(
+            {
+                "".join(rng.choice(letters) for _ in range(rng.randint(1, 5))).strip()
+                for _ in range(8)
+            }
+            - {""}
+        )
+        library = TemplateLibrary.builtin()
+        segments = []
+        for _ in range(rng.randint(1, 5)):
+            name = "".join(rng.choice(_KIN.get(c, c)) for c in rng.choice(names))
+            other = rng.choice(names)
+            segments.append(rng.choice([
+                _answer_sentence(rng, name),
+                library.relation("citizen_of").render(other, name),
+                name,
+            ]))
+        text = rng.choice([" ", ". ", "\n", ""]).join(segments)
+        args = (["citizen_of"], names, library)
+        assert OutputParser(*args).parse(text) == RegexOutputParser(*args).parse(text)
+
+    def test_formula_ending_inside_a_word(self):
+        # The facts after a formula are read from the text after it, where a
+        # name may start right at its end although a word character comes
+        # before it in the whole output.
+        args = (["citizen_of"], ["anykid", "vevedgta"], TemplateLibrary.builtin())
+        formulas = {"custom": "path X"}
+        raw = "path Xanykid is a citizen of vevedgta."
+        fast = OutputParser(*args, formulas).parse(raw)
+        assert fast == RegexOutputParser(*args, formulas).parse(raw)
+        assert fast.facts == (("anykid", "citizen_of", "vevedgta"),)
 
     def test_case_key_merges_what_ignorecase_merges(self):
         cased = [

@@ -203,6 +203,107 @@ class TestPersistence:
         assert list(kg.tails(0, 0)) == [2]
 
 
+def index_built(kg: KnowledgeGraph) -> bool:
+    """Whether the adjacency indexes exist, asked without building them."""
+    try:
+        KnowledgeGraph._succ.__get__(kg)
+    except AttributeError:
+        return False
+    return True
+
+
+def every_answer(kg: KnowledgeGraph) -> tuple:
+    """The answer to every query of the graph, fact checks first."""
+    ents, rels = range(kg.num_entities), range(kg.num_relations)
+    return (
+        kg.num_triples,
+        [[[kg.holds(h, r, t) for t in ents] for r in rels] for h in ents],
+        [[list(kg.tails(e, r)) for r in rels] for e in ents],
+        [[list(kg.heads(e, r)) for r in rels] for e in ents],
+        [list(kg.relation_pairs(r)) for r in rels],
+        [list(kg.out_edges(e)) for e in ents],
+        kg.max_out_degree(),
+    )
+
+
+class TestLazyIndexes:
+    """A graph builds its adjacency on the first adjacency query.  Until
+    then it answers fact checks and saves from its id triples; after, it
+    saves from its fact set.  Either way it answers and saves like a graph
+    whose indexes were built at once."""
+
+    def sources(self, tmp_path):
+        triples = random_triples(random.Random(7), 12, 3, 40)
+        canonical = tmp_path / "canonical.json"
+        kg_from(triples).save(canonical)
+        payload = json.loads(canonical.read_text(encoding="utf-8"))
+        # Out of canonical order: triples shuffled with a repeat, and the
+        # same again with both name tables reversed and every id renumbered.
+        shuffled = payload["triples"] + payload["triples"][:1]
+        random.Random(8).shuffle(shuffled)
+        n_ent, n_rel = len(payload["entities"]), len(payload["relations"])
+        renamed = {
+            "format_version": 1,
+            "entities": payload["entities"][::-1],
+            "relations": payload["relations"][::-1],
+            "triples": [
+                [n_ent - 1 - h, n_rel - 1 - r, n_ent - 1 - t] for h, r, t in shuffled
+            ],
+        }
+        (tmp_path / "shuffled.json").write_text(
+            json.dumps({**payload, "triples": shuffled}), encoding="utf-8"
+        )
+        (tmp_path / "renamed.json").write_text(json.dumps(renamed), encoding="utf-8")
+        return triples, canonical.read_bytes(), {
+            "canonical": lambda: KnowledgeGraph.load(canonical),
+            "shuffled": lambda: KnowledgeGraph.load(tmp_path / "shuffled.json"),
+            "renamed": lambda: KnowledgeGraph.load(tmp_path / "renamed.json"),
+            "from_lines": lambda: kg_from(triples),
+        }
+
+    @pytest.mark.parametrize(
+        "source", ["canonical", "shuffled", "renamed", "from_lines"]
+    )
+    def test_answers_and_saves_like_an_eager_graph(self, tmp_path, source):
+        triples, canonical, make = self.sources(tmp_path)
+        lazy, eager = make[source](), make[source]()
+        eager.tails(0, 0)
+        assert index_built(eager) and not index_built(lazy)
+
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        lazy.save(before)
+        eager.save(tmp_path / "eager.json")
+        assert lazy.num_triples == eager.num_triples
+        assert not index_built(lazy)
+        assert before.read_bytes() == canonical
+        assert (tmp_path / "eager.json").read_bytes() == canonical
+
+        assert every_answer(lazy) == every_answer(eager)
+        assert index_built(lazy)
+        lazy.save(after)
+        assert after.read_bytes() == canonical
+        assert_matches_oracle(lazy, set(triples))
+
+    @pytest.mark.parametrize(
+        "first_query",
+        [
+            lambda kg: kg.tails(0, 0),
+            lambda kg: kg.heads(0, 0),
+            lambda kg: kg.relation_pairs(0),
+            lambda kg: kg.out_edges(0),
+            lambda kg: kg.max_out_degree(),
+        ],
+        ids=["tails", "heads", "relation_pairs", "out_edges", "max_out_degree"],
+    )
+    def test_any_adjacency_query_builds_every_index(self, first_query):
+        kg = kg_from(random_triples(random.Random(9), 8, 2, 20))
+        assert kg.holds(0, 0, 0) in (True, False) and kg.num_triples
+        assert not index_built(kg)
+        first_query(kg)
+        assert index_built(kg)
+        assert KnowledgeGraph._triples.__get__(kg) is None
+
+
 def store_text(entities=("a", "b"), relations=("r",), triples=((0, 0, 1),)):
     return json.dumps(
         {
