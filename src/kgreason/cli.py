@@ -265,9 +265,14 @@ def cmd_synth(opts: Options) -> tuple[int, Counts]:
     from . import synthetic
 
     out = opts.output("out", "triples")
+    planted = opts.get("kind") == "planted"
+    # Only the random kind reads the entity and relation counts.
+    for dest in ("triples", "entities", "relations")[: 1 if planted else 3]:
+        if opts.get(dest) < 1:
+            raise UsageError(f"--{dest} must be >= 1, got {opts.get(dest)}")
     n_triples = opts.get("triples")
     stage_seed = derive_seed(opts.get("seed"), "synth")
-    if opts.get("kind") == "planted":
+    if planted:
         triples = synthetic.planted_triples(stage_seed, n_triples)
     else:
         triples = synthetic.random_triples(

@@ -21,8 +21,7 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ClientError, UsageError
 
@@ -41,8 +40,7 @@ PROBE_INSTRUCTION = (
 )
 
 
-@dataclass
-class ClientConfig:
+class _ClientSettings(NamedTuple):
     mode: str = MODE_MOCK
     endpoint: str = ""
     model: str = ""
@@ -51,11 +49,23 @@ class ClientConfig:
     max_retries: int = 2
     retry_backoff: float = 0.5
 
-    def __post_init__(self):
-        if self.mode not in (MODE_LIVE, MODE_MOCK):
-            raise UsageError(f"unknown client mode: {self.mode!r}")
-        if self.mode == MODE_LIVE and not self.endpoint:
+
+class ClientConfig(_ClientSettings):
+    """Client settings, checked when they are made."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        config = super().__new__(cls, *args, **kwargs)
+        if config.mode not in (MODE_LIVE, MODE_MOCK):
+            raise UsageError(f"unknown client mode: {config.mode!r}")
+        if config.mode == MODE_LIVE and not config.endpoint:
             raise UsageError("live mode requires an endpoint")
+        if config.max_retries < 0:
+            raise UsageError(f"max retries must be >= 0, got {config.max_retries}")
+        if not config.timeout > 0:
+            raise UsageError(f"timeout must be > 0 seconds, got {config.timeout}")
+        return config
 
 
 class ModelClient:

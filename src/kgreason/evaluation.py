@@ -76,6 +76,8 @@ def build_splits(
     capped at ``per_bucket`` samples with a seeded uniform subsample; the
     overall split is the union of its (capped) hop buckets.
     """
+    if per_bucket is not None and per_bucket < 0:
+        raise UsageError(f"per-bucket count must be >= 0, got {per_bucket}")
     training = set(training_rule_ids)
     for sample in samples:
         if not sample.rule_id:

@@ -16,10 +16,9 @@ so rendered length grows with the number of errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .client import VERDICT_KNOWN
 from .errors import UsageError
@@ -104,8 +103,7 @@ class ProbeFactOracle:
 # ----------------------------------------------------------------------
 # trace structure
 
-@dataclass(frozen=True)
-class MissingFact:
+class MissingFact(NamedTuple):
     """One abandoned attempt: the chain could not be grounded.
 
     ``grounded`` is the contiguous entity chain established before the
@@ -124,15 +122,13 @@ class MissingFact:
         return None, relation, self.grounded[0]
 
 
-@dataclass(frozen=True)
-class Conclude:
+class Conclude(NamedTuple):
     rule: Rule
     entities: tuple[int, ...]
     answer: int
 
 
-@dataclass(frozen=True)
-class ExplorationTrace:
+class ExplorationTrace(NamedTuple):
     """Ordered record of one exploration run.
 
     ``known_side`` names the chain end that was given: ``subject`` walks

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .artifacts import read_records, write_records
 from .errors import TemplateError, UsageError
@@ -139,8 +138,7 @@ def render_chain_answer(
 # ----------------------------------------------------------------------
 # samples
 
-@dataclass(frozen=True)
-class ReasoningSample:
+class ReasoningSample(NamedTuple):
     """One question/answer pair, optionally carrying an exploration trace.
 
     ``trace`` is kept in its serialized record form so sample files round
@@ -154,7 +152,7 @@ class ReasoningSample:
     question: str
     answer: str
     golden_entity: str
-    trace: Optional[dict] = field(default=None)
+    trace: Optional[dict] = None
 
     def to_record(self) -> dict:
         record = {
@@ -244,8 +242,7 @@ def read_samples(path: str | Path) -> list[ReasoningSample]:
 # ----------------------------------------------------------------------
 # corpus
 
-@dataclass(frozen=True)
-class CorpusDoc:
+class CorpusDoc(NamedTuple):
     entity: str
     chunk: int
     version: int
@@ -298,12 +295,8 @@ def build_corpus(
                     version=version,
                     text=text,
                     source_facts=tuple(
-                        (
-                            kg.entity_name(f.head),
-                            kg.relation_name(f.relation),
-                            kg.entity_name(f.tail),
-                        )
-                        for f in chunk
+                        (kg.entity_name(h), kg.relation_name(r), kg.entity_name(t))
+                        for h, r, t in chunk
                     ),
                 )
             )

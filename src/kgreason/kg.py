@@ -42,11 +42,10 @@ import gc
 import json
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .artifacts import open_text, read_fields, read_json, write_lines
 from .errors import DataError, UnknownSymbolError
@@ -78,9 +77,8 @@ def _gc_paused():
             gc.enable()
 
 
-@dataclass(frozen=True, order=True)
-class Triple:
-    """One fact, all three fields as interned ids."""
+class Triple(NamedTuple):
+    """One fact as interned ids; it hashes and sorts as ``(head, relation, tail)``."""
 
     head: int
     relation: int

@@ -8,8 +8,9 @@ and always form the canonical sequence X, Z1, Z2, ..., Y.
 
 The canonical textual encoding doubles as the rule id and as the sort tie
 breaker everywhere ordered rule lists are produced.  It is built once per
-rule, straight from the relation names and ``chain_vars``, and cached on the
-frozen ``Rule``; the rules file and ``formula`` write their atoms the same
+rule, straight from the relation names and ``chain_vars``, and cached in the
+rule's instance dict, not in the two fields that a ``Rule`` hashes and
+compares by; the rules file and ``formula`` write their atoms the same
 way.  Relation names may not contain ``(``, ``)``, ``,`` or ``&``, the
 encoding's delimiters, so the encoding is injective: two rules share an id
 exactly when they share their head relation and body relation sequence.
@@ -18,11 +19,10 @@ exactly when they share their head relation and body relation sequence.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .artifacts import read_records, write_records
 from .errors import DataError, UsageError
@@ -42,20 +42,18 @@ def chain_vars(hop: int) -> tuple[str, ...]:
     return (VAR_X, *[f"Z{i}" for i in range(1, hop)], VAR_Y)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(
+    NamedTuple("Rule", [("head_relation", str), ("body_relations", tuple[str, ...])])
+):
     """A chain rule, identified by head relation and body relation sequence."""
 
-    head_relation: str
-    body_relations: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.body_relations:
+    def __new__(cls, head_relation: str, body_relations: Iterable[str]):
+        body_relations = tuple(body_relations)
+        if not body_relations:
             raise UsageError("rule body must contain at least one atom")
-        if not isinstance(self.body_relations, tuple):
-            object.__setattr__(self, "body_relations", tuple(self.body_relations))
-        for name in (self.head_relation, *self.body_relations):
+        for name in (head_relation, *body_relations):
             check_relation_name(name)
+        return super().__new__(cls, head_relation, body_relations)
 
     @property
     def hop(self) -> int:
@@ -100,18 +98,17 @@ class Rule:
         return rule
 
 
-@dataclass(frozen=True)
-class RuleStats:
+class RuleStats(
+    NamedTuple("RuleStats", [("rule", Rule), ("support", int), ("body_count", int)])
+):
     """A rule together with its grounding counts on one graph.
 
     ``body_count`` is the number of distinct full variable bindings that
     satisfy the body chain.  ``support`` is the part of those whose head
     fact also holds, so it is also the number of the rule's instances.
+    ``confidence`` is cached in the instance dict, so the class has no
+    ``__slots__``, like ``Rule``.
     """
-
-    rule: Rule
-    support: int
-    body_count: int
 
     @cached_property
     def confidence(self) -> Optional[Fraction]:
@@ -121,8 +118,7 @@ class RuleStats:
         return Fraction(self.support, self.body_count)
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(NamedTuple):
     """One grounding of a rule's body on a concrete graph.
 
     ``entities`` lists the bound entity ids in chain position order, so

@@ -16,10 +16,10 @@ in the map file; they are applied at render time.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from string import ascii_lowercase, ascii_uppercase
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .artifacts import open_text, read_fields, read_records, write_lines, write_records
 from .errors import DataError, UsageError
@@ -37,15 +37,14 @@ SYNTHETIC_NAME_MAX_LEN = 8
 _NAME_ATTEMPTS = 100_000
 
 
-@dataclass
-class SelectionPool:
+class SelectionPool(NamedTuple):
     """Balanced per-rule instance sets plus selection provenance."""
 
     setting: str
     per_rule: dict[str, list[RuleInstance]]
     seed: int
-    name_map: dict[int, str] = field(default_factory=dict)
-    dropped: dict[str, int] = field(default_factory=dict)
+    name_map: Mapping[int, str] = MappingProxyType({})
+    dropped: Mapping[str, int] = MappingProxyType({})
 
     def instances(self) -> Iterator[RuleInstance]:
         for rid in sorted(self.per_rule):
@@ -127,7 +126,7 @@ def rebalance_min(pool: SelectionPool, stage: str = "rebalance") -> SelectionPoo
     rules_dropped = len(pool.per_rule) - len(nonempty)
     dropped = {**pool.dropped, f"{stage}_rules_dropped": rules_dropped}
     if not nonempty:
-        return replace(pool, per_rule={}, dropped=dropped)
+        return pool._replace(per_rule={}, dropped=dropped)
     target = min(len(v) for v in nonempty.values())
     removed = 0
     out: dict[str, list[RuleInstance]] = {}
@@ -140,7 +139,7 @@ def rebalance_min(pool: SelectionPool, stage: str = "rebalance") -> SelectionPoo
             )
         out[rule_id] = list(instances)
     dropped[f"{stage}_instances_dropped"] = removed
-    return replace(pool, per_rule=out, dropped=dropped)
+    return pool._replace(per_rule=out, dropped=dropped)
 
 
 def leakage_filter(pool: SelectionPool) -> SelectionPool:
@@ -164,7 +163,7 @@ def leakage_filter(pool: SelectionPool) -> SelectionPool:
         out[rule_id] = kept
     dropped = dict(pool.dropped)
     dropped["leakage_instances_dropped"] = removed
-    return rebalance_min(replace(pool, per_rule=out, dropped=dropped))
+    return rebalance_min(pool._replace(per_rule=out, dropped=dropped))
 
 
 def probe_filter(
@@ -204,7 +203,7 @@ def probe_filter(
     dropped = dict(pool.dropped)
     dropped["probe_instances_dropped"] = removed
     dropped["probe_undecided"] = undecided
-    return replace(pool, per_rule=out, dropped=dropped)
+    return pool._replace(per_rule=out, dropped=dropped)
 
 
 def probe_from_client(kg: KnowledgeGraph, library: TemplateLibrary, client):
@@ -261,7 +260,7 @@ def _mint_names(
             raise DataError("could not draw a fresh synthetic name")
         taken.add(name)
         name_map[eid] = name
-    return replace(pool, name_map=name_map)
+    return pool._replace(name_map=name_map)
 
 
 def select_pipeline(
@@ -324,12 +323,9 @@ def read_name_map(path: str | Path, kg: KnowledgeGraph) -> dict[int, str]:
 def write_pool(path: str | Path, pool: SelectionPool, kg: KnowledgeGraph) -> int:
     """One instance per line with original entity names as join keys."""
 
-    def fact(t: Triple) -> list[str]:
-        return [
-            kg.entity_name(t.head),
-            kg.relation_name(t.relation),
-            kg.entity_name(t.tail),
-        ]
+    def fact(triple: Triple) -> list[str]:
+        h, r, t = triple
+        return [kg.entity_name(h), kg.relation_name(r), kg.entity_name(t)]
 
     return write_records(
         path,

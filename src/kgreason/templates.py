@@ -15,9 +15,8 @@ matches those pieces around the entity mentions it finds in model outputs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .artifacts import open_text, read_fields
 from .errors import TemplateError
@@ -34,18 +33,19 @@ def _phrase(relation: str) -> str:
     return relation.replace("_", " ")
 
 
-@dataclass(frozen=True)
-class RelationTemplate:
-    relation: str
-    pattern: str
+class RelationTemplate(
+    NamedTuple("RelationTemplate", [("relation", str), ("pattern", str)])
+):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, relation: str, pattern: str):
         for slot in (ENT1, ENT2):
-            if self.pattern.count(slot) != 1:
+            if pattern.count(slot) != 1:
                 raise TemplateError(
-                    f"relation template for {self.relation!r} must contain "
-                    f"{slot} exactly once: {self.pattern!r}"
+                    f"relation template for {relation!r} must contain "
+                    f"{slot} exactly once: {pattern!r}"
                 )
+        return super().__new__(cls, relation, pattern)
 
     def render(self, subject_name: str, object_name: str) -> str:
         if not subject_name or not object_name:
@@ -97,22 +97,25 @@ class RelationTemplate:
         return re.compile(regex + r"(?!\w)")
 
 
-@dataclass(frozen=True)
-class QuestionTemplate:
-    relation: str
-    queried_side: str
-    pattern: str
+class QuestionTemplate(
+    NamedTuple(
+        "QuestionTemplate",
+        [("relation", str), ("queried_side", str), ("pattern", str)],
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.queried_side not in (SIDE_SUBJECT, SIDE_OBJECT):
+    def __new__(cls, relation: str, queried_side: str, pattern: str):
+        if queried_side not in (SIDE_SUBJECT, SIDE_OBJECT):
             raise TemplateError(
-                f"queried side must be subject or object: {self.queried_side!r}"
+                f"queried side must be subject or object: {queried_side!r}"
             )
-        if self.pattern.count(ENT) != 1:
+        if pattern.count(ENT) != 1:
             raise TemplateError(
-                f"question template for {self.relation!r} must contain {ENT} "
-                f"exactly once: {self.pattern!r}"
+                f"question template for {relation!r} must contain {ENT} "
+                f"exactly once: {pattern!r}"
             )
+        return super().__new__(cls, relation, queried_side, pattern)
 
     def render(self, given_name: str) -> str:
         if not given_name:

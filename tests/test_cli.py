@@ -504,6 +504,39 @@ class TestExitCodes:
         )
         assert proc.returncode == 1
 
+    def test_split_per_bucket_must_not_be_negative(self, pipeline_dir, tmp_path):
+        args = [
+            "--samples", str(pipeline_dir / "samples.jsonl"),
+            "--training-rules", str(pipeline_dir / "rules.tsv"),
+            "--out", "splits.json",
+        ]
+        proc = run_cli(tmp_path, "split", *args, "--per-bucket", "-1", check=False)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "kgreason: usage error: per-bucket count must be >= 0, got -1\n"
+        )
+        assert not (tmp_path / "splits.json").exists()
+        run_cli(tmp_path, "split", *args, "--per-bucket", "0")
+        splits = json.loads((tmp_path / "splits.json").read_text())["splits"]
+        assert [split["samples"] for split in splits] == [[]] * len(splits)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--kind", "planted", "--triples", "-5"],
+            ["--kind", "random", "--triples", "0"],
+            ["--kind", "random", "--entities", "0"],
+            ["--kind", "random", "--relations", "0"],
+        ],
+        ids=["planted-triples", "random-triples", "entities", "relations"],
+    )
+    def test_synth_counts_must_be_positive(self, tmp_path, args):
+        proc = run_cli(tmp_path, "synth", "--out", "t.tsv", *args, check=False)
+        assert proc.returncode == 1
+        assert "usage error" in proc.stderr and "must be >= 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "t.tsv").exists()
+
     def test_compose_rejects_base_rules_that_are_not_two_hop(self, tmp_path):
         # A one-hop base rule would splice the same composed rule in twice.
         (tmp_path / "t.tsv").write_text(
@@ -864,8 +897,8 @@ class TestStageImports:
         "multiprocessing",
     )
 
-    def loaded_after(self, code):
-        probe = f"import sys\nprint(sorted(set({self.LAZY!r}) & set(sys.modules)))"
+    def loaded_after(self, code, modules=LAZY):
+        probe = f"import sys\nprint(sorted(set({modules!r}) & set(sys.modules)))"
         proc = subprocess.run(
             [sys.executable, "-c", f"{code}\n{probe}"],
             env={**os.environ, "PYTHONPATH": SOURCE_ROOT},
@@ -894,6 +927,14 @@ class TestStageImports:
             check=True,
         )
         assert proc.stdout.strip() == "[]"
+
+    def test_evaluate_and_split_leave_dataclasses_out(self):
+        # Every record is a NamedTuple; dataclasses would also load inspect.
+        code = (
+            "import kgreason.cli, kgreason.evaluation, kgreason.generation\n"
+            "import kgreason.selection, kgreason.templates"
+        )
+        assert self.loaded_after(code, ("dataclasses", "inspect")) == "[]"
 
     def test_selection_leaves_explore_out(self):
         # select builds its probe oracle in selection alone.

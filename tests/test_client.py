@@ -19,7 +19,7 @@ from kgreason.client import (
 )
 from kgreason.errors import ClientError, UsageError
 
-from conftest import SOURCE_ROOT
+from conftest import SOURCE_ROOT, run_cli
 
 
 class FakeResponse:
@@ -143,6 +143,31 @@ class TestLiveProtocol:
     def test_live_requires_endpoint(self):
         with pytest.raises(UsageError):
             ClientConfig(mode="live", endpoint="")
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"max_retries": -1}, {"timeout": 0.0}, {"timeout": -1.0}],
+        ids=["negative-retries", "zero-timeout", "negative-timeout"],
+    )
+    def test_live_rejects_bad_retries_and_timeout(self, setting):
+        with pytest.raises(UsageError):
+            ClientConfig(mode="live", endpoint="https://example.test/v1", **setting)
+
+    def test_bad_live_setting_is_a_usage_error(self, pipeline_dir, tmp_path):
+        proc = run_cli(
+            tmp_path, "select",
+            "--store", str(pipeline_dir / "store.json"),
+            "--library", str(pipeline_dir / "library.tsv"),
+            "--pool", "pool.tsv", "--setting", "regular",
+            "--client", "live", "--endpoint", "http://localhost:9",
+            "--max-retries", "-1",
+            check=False,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "kgreason: usage error: max retries must be >= 0, got -1\n"
+        )
+        assert not (tmp_path / "pool.tsv").exists()
 
 
 class TestMemoization:

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SOURCE_ROOT
-from kgreason import synthetic
+from kgreason import artifacts, cli, synthetic
 
 PIPELINE = [
     ["ingest", "--triples", "triples.tsv", "--store", "store.json"],
@@ -147,3 +147,33 @@ def test_artifacts_ignore_input_order_and_hash_seed(
             rng.shuffle(lines)
         (tmp_path / name).write_text("".join(lines), encoding="utf-8")
     assert run_pipeline(tmp_path, hash_seed) == reference
+
+
+def test_no_record_reaches_json(inputs, reference, tmp_path, monkeypatch):
+    """Records are NamedTuples, which JSON would write as plain lists without
+    complaint; every artifact is built from dicts, lists and scalars instead.
+    Records files go through ``artifacts._encode``, the rest through
+    ``json.dumps``."""
+
+    def checked(encode):
+        def encode_checked(obj, *args, **kwargs):
+            stack = [obj]
+            while stack:
+                item = stack.pop()
+                assert not hasattr(type(item), "_fields"), f"record in json: {item!r}"
+                if isinstance(item, dict):
+                    stack.extend(item.items())
+                elif isinstance(item, (list, tuple)):
+                    stack.extend(item)
+            return encode(obj, *args, **kwargs)
+
+        return encode_checked
+
+    for name, lines in inputs.items():
+        (tmp_path / name).write_text("".join(lines), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(json, "dumps", checked(json.dumps))
+    monkeypatch.setattr(artifacts, "_encode", checked(artifacts._encode))
+    for args in PIPELINE:
+        assert cli.main(args) == 0
+    assert (tmp_path / "report.json").read_bytes() == reference["report.json"]

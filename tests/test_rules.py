@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgreason.errors import DataError
+from kgreason.errors import DataError, UsageError
 from kgreason.kg import RESERVED_RELATION_CHARS
 from kgreason.rules import (
     Rule,
@@ -59,6 +59,18 @@ class TestRuleShape:
         assert Rule("h", ("a", "b", "c", "d")).formula() == (
             "h(X, Y) <- a(X, Z1) & b(Z1, Z2) & c(Z2, Z3) & d(Z3, Y)"
         )
+
+    @pytest.mark.parametrize(
+        "body", [(), [], iter(())], ids=["tuple", "list", "iterator"]
+    )
+    def test_empty_body_is_rejected(self, body):
+        with pytest.raises(UsageError, match="at least one atom"):
+            Rule("h", body)
+
+    def test_body_is_stored_as_a_tuple(self):
+        rule = Rule("h", iter(["a", "b"]))
+        assert rule.body_relations == ("a", "b")
+        assert rule == Rule("h", ("a", "b"))
 
     def test_decode_round_trip(self):
         rid = "h(X,Y)<-a(X,Z1)&b(Z1,Z2)&c(Z2,Y)"

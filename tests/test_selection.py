@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -251,7 +250,7 @@ class TestAnonymize:
 
     def test_same_seed_reproduces_map(self):
         kg, pool = self.graph_pool()
-        pool = replace(pool, seed=5)
+        pool = pool._replace(seed=5)
         assert anonymize(pool, kg).name_map == anonymize(pool, kg).name_map
 
     def test_map_file_round_trip(self, tmp_path):
