@@ -158,6 +158,10 @@ class Options:
             self.used[dest] = str(value)
         return value
 
+    def given(self, dest: str) -> bool:
+        """Whether the command line or the config file sets an option."""
+        return getattr(self.ns, dest) is not None or dest in self.config
+
     def input(self, dest: str):
         """The file(s) an option names, read by the stage; none if unset."""
         paths = self.get(dest)
@@ -193,23 +197,33 @@ def _build_client(
 
     if opts.get("client") == "mock":
         facts_path = opts.get("probe_facts")
-        table = _probe_table(kg, templates, facts_path) if facts_path else {}
-        return mock_client(table)
+        known = _probe_table(kg, templates, facts_path) if facts_path else ()
+        return mock_client(known)
     live = ("endpoint", "model", "token_env", "timeout", "max_retries")
     return ModelClient(ClientConfig(mode="live", **{k: opts.get(k) for k in live}))
 
 
+def _probe(
+    opts: Options, kg: KnowledgeGraph, templates: TemplateLibrary
+) -> tuple[ModelClient, Callable[[Triple], str]]:
+    """The stage's model client and its verdict on a fact of ``kg``."""
+    from .selection import probe_from_client
+
+    client = _build_client(opts, kg, templates)
+    return client, probe_from_client(kg, templates, client)
+
+
 def _probe_table(
     kg: KnowledgeGraph, templates: TemplateLibrary, facts_path: str
-) -> dict[str, str]:
-    """Sentences the simulated model treats as known, from a triple file."""
+) -> frozenset[str]:
+    """Sentences the simulated model knows, from a triple file."""
 
     def sentence(h: str, r: str, t: str) -> str:
         fact = Triple(kg.entity_id(h), kg.relation_id(r), kg.entity_id(t))
         return templates.render_fact(kg, fact, kg.entity_name)
 
     with open_text(facts_path) as fh:
-        return dict.fromkeys(read_fields(fh, 3, "triple", sentence), "known")
+        return frozenset(read_fields(fh, 3, "triple", sentence))
 
 
 def _emptied_by(pool: SelectionPool, rules: int, n: int) -> str:
@@ -222,15 +236,16 @@ def _emptied_by(pool: SelectionPool, rules: int, n: int) -> str:
     return "probe: no instance has known body facts and an unknown head"
 
 
-def _polisher(opts: Options, kg: KnowledgeGraph, templates: TemplateLibrary):
-    mode = opts.get("polisher")
-    if mode == "none":
+def _polisher(
+    opts: Options,
+    kg: KnowledgeGraph,
+    templates: TemplateLibrary,
+    client: Optional[ModelClient] = None,
+):
+    """The --polisher rewrite, through ``client`` when the stage has one."""
+    if opts.get("polisher") == "none":
         return None
-    if mode == "mock":
-        from .client import mock_client
-
-        return mock_client().polish
-    return _build_client(opts, kg, templates).polish
+    return (client or _build_client(opts, kg, templates)).polish
 
 
 def _load_pool(opts: Options, kg: KnowledgeGraph, seed: int) -> SelectionPool:
@@ -267,6 +282,9 @@ def cmd_synth(opts: Options) -> tuple[int, Counts]:
     out = opts.output("out", "triples")
     planted = opts.get("kind") == "planted"
     # Only the random kind reads the entity and relation counts.
+    for dest in ("entities", "relations"):
+        if planted and opts.given(dest):
+            raise UsageError(f"--{dest} applies only to --kind random")
     for dest in ("triples", "entities", "relations")[: 1 if planted else 3]:
         if opts.get(dest) < 1:
             raise UsageError(f"--{dest} must be >= 1, got {opts.get(dest)}")
@@ -358,9 +376,7 @@ def cmd_select(opts: Options) -> tuple[int, Counts]:
     }
     oracle = None
     if setting == SETTING_REGULAR:
-        templates = _load_templates(opts.get("templates"))
-        client = _build_client(opts, kg, templates)
-        oracle = selection.probe_from_client(kg, templates, client)
+        _, oracle = _probe(opts, kg, _load_templates(opts.get("templates")))
     seed, n = derive_seed(opts.get("seed"), "select"), opts.get("per_rule")
     pool, name_map = selection.select_pipeline(kg, per_rule, n, seed, setting, oracle)
     if not pool.size():
@@ -405,13 +421,11 @@ def cmd_explore(opts: Options) -> tuple[int, Counts]:
     pool = _load_pool(opts, kg, stage_seed)
     templates = _load_templates(opts.get("templates"))
     rule_library = read_rules(opts.input("library"))
-    if opts.get("oracle") == ORACLE_KG:
-        oracle = explore.KgFactOracle(kg)
-    else:
-        client = _build_client(opts, kg, templates)
-        probe = selection.probe_from_client(kg, templates, client)
-        oracle = explore.ProbeFactOracle(kg, probe)
-    polisher = _polisher(opts, kg, templates)
+    client = probe = None
+    if opts.get("oracle") == ORACLE_PROBE:
+        client, probe = _probe(opts, kg, templates)
+    oracle = explore.KgFactOracle(kg, probe)
+    polisher = _polisher(opts, kg, templates, client)
     max_trials, ensure_error = opts.get("max_trials"), opts.get("ensure_error")
     samples, info, name_map = explore.explore_samples(
         kg, pool, templates, rule_library, oracle, max_trials, ensure_error, polisher
@@ -521,7 +535,7 @@ FROM_POOL = (
     TEMPLATES,
     Opt("samples", required=True),
     Opt("predictions"),
-    Opt("polisher", default="none", choices=("none", "mock", "live")),
+    Opt("polisher", default="none", choices=("none", "live")),
     *CLIENT,
     SEED,
 )

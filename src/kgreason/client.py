@@ -8,10 +8,10 @@ every probe ``undecided``.  A reply that arrives but reads as neither YES
 nor NO is an ``undecided`` probe, and an empty polish reply returns the
 input text unchanged with a warning.
 
-In mock mode no network is touched.  Probe verdicts come from a supplied
-lookup table keyed by the fact sentence (closed world: absent means
-unknown) and polish is the identity, which makes every downstream stage
-byte-for-byte deterministic.
+In mock mode no network is touched.  The model's knowledge is a supplied
+set of sentences: a probe reads ``known`` when its sentence is in the set
+and ``unknown`` otherwise (closed world), and polish is the identity, which
+makes every downstream stage byte-for-byte deterministic.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import logging
 import os
 import threading
 import time
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import ClientError, UsageError
 
@@ -69,8 +69,9 @@ class ClientConfig(_ClientSettings):
 
 
 class ModelClient:
-    """Probe and polish operations against a model endpoint or a mock table.
+    """Probe and polish operations against a model endpoint or a mock model.
 
+    ``known`` is the mock model's knowledge: the sentences it knows.
     ``transport`` may be injected for testing; it must behave like
     ``requests.post`` and return an object with ``status_code`` and
     ``json()``.  Probe results are memoized per client instance.  Only a
@@ -81,23 +82,11 @@ class ModelClient:
     def __init__(
         self,
         config: Optional[ClientConfig] = None,
-        probe_table: Optional[Mapping[str, str] | Iterable[str]] = None,
+        known: Iterable[str] = (),
         transport: Optional[Callable] = None,
     ):
         self.config = config or ClientConfig()
-        if probe_table is None:
-            self._probe_table: dict[str, str] = {}
-        elif isinstance(probe_table, Mapping):
-            self._probe_table = dict(probe_table)
-        else:
-            self._probe_table = {s: VERDICT_KNOWN for s in probe_table}
-        bad = set(self._probe_table.values()) - {
-            VERDICT_KNOWN,
-            VERDICT_UNKNOWN,
-            VERDICT_UNDECIDED,
-        }
-        if bad:
-            raise UsageError(f"invalid verdicts in probe table: {sorted(bad)}")
+        self._known = frozenset(known)
         if transport is None and self.config.mode == MODE_LIVE:
             import requests
 
@@ -116,7 +105,7 @@ class ModelClient:
             if sentence in self._cache:
                 return self._cache[sentence]
         if self.config.mode == MODE_MOCK:
-            verdict = self._probe_table.get(sentence, VERDICT_UNKNOWN)
+            verdict = VERDICT_KNOWN if sentence in self._known else VERDICT_UNKNOWN
         else:
             verdict = self._probe_live(sentence)
         with self._lock:
@@ -182,6 +171,6 @@ class ModelClient:
         raise ClientError(f"model call failed after {attempts} attempts: {failure}")
 
 
-def mock_client(probe_table: Optional[Mapping[str, str] | Iterable[str]] = None) -> ModelClient:
-    """Convenience constructor for the deterministic offline client."""
-    return ModelClient(ClientConfig(mode=MODE_MOCK), probe_table=probe_table)
+def mock_client(known: Iterable[str] = ()) -> ModelClient:
+    """The deterministic offline client, knowing the ``known`` sentences."""
+    return ModelClient(ClientConfig(mode=MODE_MOCK), known)

@@ -414,29 +414,14 @@ def _match_fact(
 # scoring
 
 class MatchScore(NamedTuple):
+    """Exact match: a split's ``correct`` verdicts over its size."""
+
     correct: int
     total: int
 
     @property
     def percent(self) -> str:
         return f"{100 * self.correct / self.total:.2f}"
-
-
-def exact_match_score(
-    predictions: Mapping[str, Optional[str]], split: EvalSplit
-) -> MatchScore:
-    """Correct predictions over split size.  Missing or unparsed outputs
-    count as wrong.  An empty split cannot be scored."""
-    if not split.samples:
-        raise UsageError(f"split {split.key} is empty")
-    correct = 0
-    for sample in split.samples:
-        predicted = predictions.get(sample.sample_id)
-        if predicted is not None and normalize_entity(predicted) == normalize_entity(
-            sample.golden_entity
-        ):
-            correct += 1
-    return MatchScore(correct=correct, total=len(split.samples))
 
 
 def rule_length_usage(
@@ -634,14 +619,6 @@ class Evaluator:
         for split in splits:
             if not split.samples:
                 continue
-            predictions = {
-                s.sample_id: (
-                    parsed_cache[s.sample_id].predicted
-                    if s.sample_id in parsed_cache
-                    else None
-                )
-                for s in split.samples
-            }
             verdict_counts: dict[str, int] = {}
             split_parsed: dict[str, ParsedPrediction] = {}
             for sample in split.samples:
@@ -656,7 +633,9 @@ class Evaluator:
                 SplitResult(
                     split_key=split.key,
                     samples=len(split.samples),
-                    match=exact_match_score(predictions, split),
+                    match=MatchScore(
+                        verdict_counts.get(VERDICT_CORRECT, 0), len(split.samples)
+                    ),
                     usage=usage,
                     usage_unparseable=usage_unparseable,
                     verdicts=verdict_counts,

@@ -42,62 +42,43 @@ OUTCOME_EXHAUSTED = "exhausted"
 
 
 # ----------------------------------------------------------------------
-# fact oracles
+# the fact oracle
 
 class KgFactOracle:
-    """Ground truth oracle: a fact holds iff it is in the graph.
+    """The facts the explore search may walk: the graph's, or with a
+    ``probe`` only those it marks ``known``.
 
-    Neighbor queries take only relation ids from ``relation_id`` and return
-    the graph's own lists, which callers must not mutate.
+    ``undecided`` is treated as not known, and a verdict is asked each time
+    a fact is walked; the probe of a model client is
+    ``selection.probe_from_client``, whose client keeps the verdicts.
+    Neighbor queries take only relation ids from ``relation_id``.  Without a
+    probe they return the graph's own lists, which callers must not mutate.
     """
 
-    def __init__(self, kg: KnowledgeGraph):
+    def __init__(
+        self, kg: KnowledgeGraph, probe: Optional[Callable[[Triple], str]] = None
+    ):
         self.kg = kg
+        self._probe = probe
 
     def relation_id(self, name: str) -> Optional[int]:
         return self.kg.relation_id(name) if self.kg.has_relation(name) else None
 
     def successors(self, eid: int, rid: Optional[int]) -> Sequence[int]:
-        return [] if rid is None else self.kg.tails(eid, rid)
+        if rid is None:
+            return []
+        tails = self.kg.tails(eid, rid)
+        if self._probe is None:
+            return tails
+        return [t for t in tails if self._probe(Triple(eid, rid, t)) == VERDICT_KNOWN]
 
     def predecessors(self, eid: int, rid: Optional[int]) -> Sequence[int]:
-        return [] if rid is None else self.kg.heads(eid, rid)
-
-
-class ProbeFactOracle:
-    """Graph candidates filtered through a ternary knowledge probe.
-
-    Only facts the probe marks ``known`` count as provable; ``undecided``
-    is treated as not known.  Verdicts are cached for the run.  Relation
-    ids must come from ``relation_id``, as for ``KgFactOracle``.  The probe
-    of a model client is ``selection.probe_from_client``.
-    """
-
-    def __init__(self, kg: KnowledgeGraph, probe: Callable[[Triple], str]):
-        self.kg = kg
-        self._probe = probe
-        self._cache: dict[tuple[int, int, int], bool] = {}
-
-    def relation_id(self, name: str) -> Optional[int]:
-        return self.kg.relation_id(name) if self.kg.has_relation(name) else None
-
-    def _known(self, head: int, rid: int, tail: int) -> bool:
-        key = (head, rid, tail)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._probe(Triple(head, rid, tail)) == VERDICT_KNOWN
-            self._cache[key] = cached
-        return cached
-
-    def successors(self, eid: int, rid: Optional[int]) -> list[int]:
         if rid is None:
             return []
-        return [t for t in self.kg.tails(eid, rid) if self._known(eid, rid, t)]
-
-    def predecessors(self, eid: int, rid: Optional[int]) -> list[int]:
-        if rid is None:
-            return []
-        return [h for h in self.kg.heads(eid, rid) if self._known(h, rid, eid)]
+        heads = self.kg.heads(eid, rid)
+        if self._probe is None:
+            return heads
+        return [h for h in heads if self._probe(Triple(h, rid, eid)) == VERDICT_KNOWN]
 
 
 # ----------------------------------------------------------------------

@@ -229,6 +229,74 @@ class TestRegularSetting:
         assert not (run / "pool.tsv").exists()
 
 
+    def test_probe_and_polisher_share_one_client(self, tmp_path, monkeypatch):
+        from kgreason.client import ModelClient
+
+        run = self.prepare(tmp_path)
+        (run / "probe.tsv").write_text(
+            "anykid\tpart_of\tcckqlvy\ncckqlvy\tfrom_country\tvevedgta\n",
+            encoding="utf-8",
+        )
+        run_cli(
+            run, "select", "--store", "store.json", "--library", "rules.tsv",
+            "--pool", "pool.tsv", "--setting", "regular", "--per-rule", "1",
+            "--client", "mock", "--probe-facts", "probe.tsv",
+        )
+        clients, tables = [], []
+        init, probe_table = ModelClient.__init__, cli._probe_table
+
+        def counted_init(client, *args, **kwargs):
+            clients.append(client)
+            init(client, *args, **kwargs)
+
+        def counted_table(kg, templates, facts_path):
+            tables.append(facts_path)
+            return probe_table(kg, templates, facts_path)
+
+        monkeypatch.setattr(ModelClient, "__init__", counted_init)
+        monkeypatch.setattr(cli, "_probe_table", counted_table)
+        monkeypatch.chdir(run)
+        assert cli.main([
+            "explore", "--store", "store.json", "--pool", "pool.tsv",
+            "--library", "rules.tsv", "--samples", "trial.jsonl",
+            "--oracle", "probe", "--polisher", "live", "--client", "mock",
+            "--probe-facts", "probe.tsv",
+        ]) == 0
+        assert len(clients) == 1 and tables == ["probe.tsv"]
+        assert (run / "trial.jsonl").read_text(encoding="utf-8").count("\n") == 1
+
+    def test_templates_sharing_a_pattern_share_a_verdict(self, tmp_path):
+        # The mock model knows sentences, not facts: (a, r2, b) is not in
+        # the probe file, but (a, r1, b) is and renders the same sentence
+        # under these templates, so r2's fact reads as known too.
+        (tmp_path / "triples.tsv").write_text(
+            "a\tr2\tb\nb\tr3\tc\na\th\tc\na\tr1\tb\n", encoding="utf-8"
+        )
+        (tmp_path / "probe.tsv").write_text(
+            "a\tr1\tb\nb\tr3\tc\n", encoding="utf-8"
+        )
+        (tmp_path / "templates.tsv").write_text(
+            "r1\t<ENT1> meets <ENT2>.\nr2\t<ENT1> meets <ENT2>.\n", encoding="utf-8"
+        )
+        write_rules(
+            tmp_path / "rules.tsv",
+            [RuleStats(Rule("h", ("r2", "r3")), support=1, body_count=1)],
+        )
+        run_cli(tmp_path, "ingest", "--triples", "triples.tsv", "--store", "store.json")
+        select = (
+            "select", "--store", "store.json", "--library", "rules.tsv",
+            "--pool", "pool.tsv", "--setting", "regular", "--per-rule", "1",
+            "--client", "mock", "--probe-facts", "probe.tsv",
+        )
+        proc = run_cli(tmp_path, *select, "--templates", "templates.tsv")
+        assert "selected 1 instances" in proc.stdout
+        pooled = json.loads((tmp_path / "pool.tsv").read_text(encoding="utf-8"))
+        assert pooled["body"] == [["a", "r2", "b"], ["b", "r3", "c"]]
+        # Under the built-in templates the two facts read apart.
+        proc = run_cli(tmp_path, *select, "--pool", "other.tsv", check=False)
+        assert proc.returncode == 2 and "empty pool: probe:" in proc.stderr
+
+
 class TestEmptyPool:
     """A select whose final pool is empty is a data error naming the filter
     that emptied it, and writes no pool, no map and no manifest entry."""
@@ -342,7 +410,7 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "stage, line, key, value",
         [
-            ("generate", "polisher=mock", "polisher", "mock"),
+            ("generate", "polisher=live", "polisher", "live"),
             ("synth", "triples=50", "triples", "50"),
         ],
         ids=["good-choice", "good-int"],
@@ -536,6 +604,30 @@ class TestExitCodes:
         assert "usage error" in proc.stderr and "must be >= 1" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "t.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "args, config, flag",
+        [
+            (["--entities", "0"], "", "--entities"),
+            (["--relations", "10"], "", "--relations"),
+            ([], "entities=200\n", "--entities"),
+        ],
+        ids=["entities", "relations", "config"],
+    )
+    def test_planted_synth_takes_no_entity_or_relation_count(
+        self, tmp_path, args, config, flag
+    ):
+        # Only --kind random reads the two counts; planted would drop them.
+        (tmp_path / "synth.cfg").write_text(config, encoding="utf-8")
+        proc = run_cli(
+            tmp_path, "synth", "--out", "t.tsv", "--kind", "planted",
+            "--triples", "20", "--config", "synth.cfg", *args, check=False,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"kgreason: usage error: {flag} applies only to --kind random\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.cfg"]
 
     def test_compose_rejects_base_rules_that_are_not_two_hop(self, tmp_path):
         # A one-hop base rule would splice the same composed rule in twice.

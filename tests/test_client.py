@@ -65,11 +65,11 @@ def live_client(script, **overrides):
 
 class TestMock:
     def test_table_hit_is_known(self):
-        client = mock_client({"A is a citizen of B.": VERDICT_KNOWN})
+        client = mock_client({"A is a citizen of B."})
         assert client.probe_fact("A is a citizen of B.") == VERDICT_KNOWN
 
     def test_closed_world_miss_is_unknown(self):
-        client = mock_client({"A is a citizen of B.": VERDICT_KNOWN})
+        client = mock_client({"A is a citizen of B."})
         assert client.probe_fact("C is a citizen of D.") == VERDICT_UNKNOWN
 
     def test_sentence_iterable_becomes_known_table(self):
@@ -180,7 +180,7 @@ class TestMemoization:
         assert len(transport.calls) == 1
 
     def test_cache_safe_under_threads(self):
-        client = mock_client({"a.": VERDICT_KNOWN})
+        client = mock_client({"a."})
         results = []
 
         def work():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgreason.errors import DataError, UsageError
+from kgreason.errors import DataError
 from kgreason.evaluation import (
     EvalSplit,
     Evaluator,
@@ -32,7 +32,6 @@ from kgreason.evaluation import (
     _case_key,
     build_splits,
     classify_error,
-    exact_match_score,
     normalize_entity,
     read_predictions,
     read_splits,
@@ -195,32 +194,39 @@ class TestMatchScore:
         assert MatchScore(0, 5).percent == "0.00"
         assert MatchScore(5, 5).percent == "100.00"
 
+    def match(self, outputs, samples):
+        split = EvalSplit("ID", None, tuple(samples))
+        return make_evaluator().evaluate([split], outputs).results[0].match
+
     def test_exact_match_scoring_rules(self):
-        samples = tuple(
+        samples = [
             sample(f"s{i}", R_CIT, golden)
             for i, golden in enumerate(["Wcsa", "Wcsa", "Vevedgta"])
-        )
-        split = EvalSplit("ID", None, samples)
-        predictions = {"s0": " WCSA ", "s1": "Vevedgta", "s2": None}
-        score = exact_match_score(predictions, split)
-        assert (score.correct, score.total) == (1, 3)
+        ]
+        outputs = {
+            "s0": "Thus, WCSA is the answer.",
+            "s1": "Thus, Vevedgta is the answer.",
+            "s2": OUT_UNPARSEABLE,
+        }
+        assert self.match(outputs, samples) == MatchScore(correct=1, total=3)
 
     def test_missing_prediction_counts_wrong(self):
-        split = EvalSplit("ID", None, (sample("s0", R_CIT, "Wcsa"),))
-        assert exact_match_score({}, split).correct == 0
+        samples = [sample("s0", R_CIT, "Wcsa")]
+        assert self.match({}, samples) == MatchScore(correct=0, total=1)
 
-    def test_empty_split_rejected(self):
-        with pytest.raises(UsageError):
-            exact_match_score({}, EvalSplit("ID", None, ()))
+    def test_empty_split_is_not_scored(self):
+        full = EvalSplit("ID", None, (sample("s0", R_CIT, "Wcsa"),))
+        report = make_evaluator().evaluate([EvalSplit("OOD", None, ()), full], {})
+        assert [r.split_key for r in report.results] == [full.key]
 
     def test_order_invariance(self):
         samples = [sample(f"s{i}", R_CIT, "Wcsa") for i in range(6)]
-        predictions = {f"s{i}": "Wcsa" if i % 2 else "Vevedgta" for i in range(6)}
-        one = exact_match_score(predictions, EvalSplit("ID", None, tuple(samples)))
-        two = exact_match_score(
-            predictions, EvalSplit("ID", None, tuple(reversed(samples)))
-        )
-        assert (one.correct, one.total) == (two.correct, two.total)
+        outputs = {
+            f"s{i}": f"Thus, {'Wcsa' if i % 2 else 'Vevedgta'} is the answer."
+            for i in range(6)
+        }
+        one = self.match(outputs, samples)
+        assert one == self.match(outputs, reversed(samples)) == (3, 6)
 
 
 class TestRuleLengthUsage:

@@ -55,10 +55,7 @@ def run_select_and_explore(setting: str, oracle_kind: str) -> None:
         kg, per_rule, 2, 7, setting, probe if setting == "regular" else None
     )
     assert pool.size()
-    if oracle_kind == "kg":
-        oracle = explore.KgFactOracle(kg)
-    else:
-        oracle = explore.ProbeFactOracle(kg, probe)
+    oracle = explore.KgFactOracle(kg, probe if oracle_kind == "probe" else None)
     samples, counts, _ = explore.explore_samples(kg, pool, templates, stats, oracle)
     assert samples and counts["samples"] == len(samples)
 
