@@ -190,14 +190,11 @@ def _load_templates(path: Optional[str]) -> TemplateLibrary:
     return TemplateLibrary.load(path) if path else TemplateLibrary.builtin()
 
 
-def _build_client(
-    opts: Options, kg: KnowledgeGraph, templates: TemplateLibrary
-) -> ModelClient:
+def _build_client(opts: Options, known: frozenset[str] = frozenset()) -> ModelClient:
+    """The stage's model client; a mock client knows the sentences ``known``."""
     from .client import ClientConfig, ModelClient, mock_client
 
     if opts.get("client") == "mock":
-        facts_path = opts.get("probe_facts")
-        known = _probe_table(kg, templates, facts_path) if facts_path else ()
         return mock_client(known)
     live = ("endpoint", "model", "token_env", "timeout", "max_retries")
     return ModelClient(ClientConfig(mode="live", **{k: opts.get(k) for k in live}))
@@ -206,10 +203,14 @@ def _build_client(
 def _probe(
     opts: Options, kg: KnowledgeGraph, templates: TemplateLibrary
 ) -> tuple[ModelClient, Callable[[Triple], str]]:
-    """The stage's model client and its verdict on a fact of ``kg``."""
+    """The stage's model client and its verdict on a fact of ``kg``.  A mock
+    client knows the facts of --probe-facts, which only a probing stage
+    reads."""
     from .selection import probe_from_client
 
-    client = _build_client(opts, kg, templates)
+    facts_path = opts.get("client") == "mock" and opts.get("probe_facts")
+    known = _probe_table(kg, templates, facts_path) if facts_path else frozenset()
+    client = _build_client(opts, known)
     return client, probe_from_client(kg, templates, client)
 
 
@@ -236,16 +237,11 @@ def _emptied_by(pool: SelectionPool, rules: int, n: int) -> str:
     return "probe: no instance has known body facts and an unknown head"
 
 
-def _polisher(
-    opts: Options,
-    kg: KnowledgeGraph,
-    templates: TemplateLibrary,
-    client: Optional[ModelClient] = None,
-):
+def _polisher(opts: Options, client: Optional[ModelClient] = None):
     """The --polisher rewrite, through ``client`` when the stage has one."""
     if opts.get("polisher") == "none":
         return None
-    return (client or _build_client(opts, kg, templates)).polish
+    return (client or _build_client(opts)).polish
 
 
 def _load_pool(opts: Options, kg: KnowledgeGraph, seed: int) -> SelectionPool:
@@ -400,7 +396,7 @@ def cmd_generate(opts: Options) -> tuple[int, Counts]:
     stage_seed = derive_seed(opts.get("seed"), "generate")
     pool = _load_pool(opts, kg, stage_seed)
     templates = _load_templates(opts.get("templates"))
-    polisher = _polisher(opts, kg, templates)
+    polisher = _polisher(opts)
     samples, info = generation.make_samples(kg, pool, templates, polisher)
     generation.write_samples(opts.output("samples"), samples)
     counts = dict(info)
@@ -425,7 +421,7 @@ def cmd_explore(opts: Options) -> tuple[int, Counts]:
     if opts.get("oracle") == ORACLE_PROBE:
         client, probe = _probe(opts, kg, templates)
     oracle = explore.KgFactOracle(kg, probe)
-    polisher = _polisher(opts, kg, templates, client)
+    polisher = _polisher(opts, client)
     max_trials, ensure_error = opts.get("max_trials"), opts.get("ensure_error")
     samples, info, name_map = explore.explore_samples(
         kg, pool, templates, rule_library, oracle, max_trials, ensure_error, polisher
@@ -518,9 +514,11 @@ SAMPLE_FILES = Opt("samples", required=True, many=True)
 MAP = Opt("map")
 TEMPLATES = Opt("templates")
 MIN_CONFIDENCE = Opt("min_confidence", default=mining.DEFAULT_MIN_CONFIDENCE)
+PROBE_FACTS = Opt("probe_facts")
+# A probing stage's client options; the mock client reads --probe-facts.
 CLIENT = (
     Opt("client", default="mock", choices=("mock", "live")),
-    Opt("probe_facts"),
+    PROBE_FACTS,
     Opt("endpoint", default=""),
     Opt("model", default=""),
     Opt("token_env", default="KGREASON_API_TOKEN"),
@@ -578,7 +576,11 @@ STAGES = (
         *CLIENT,
         SEED,
     )),
-    Stage("generate", "render question/answer samples", (*FROM_POOL, Opt("corpus"))),
+    # generate never probes, so its client only polishes.
+    Stage("generate", "render question/answer samples", (
+        *(opt for opt in FROM_POOL if opt is not PROBE_FACTS),
+        Opt("corpus"),
+    )),
     Stage("explore", "trial-and-error reasoning traces", (
         *FROM_POOL,
         Opt("map_out"),

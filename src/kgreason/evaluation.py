@@ -66,15 +66,16 @@ class EvalSplit(NamedTuple):
 def build_splits(
     samples: Sequence[ReasoningSample],
     training_rule_ids: Iterable[str],
-    hops: Sequence[int] = (2, 3, 4),
     per_bucket: Optional[int] = None,
     seed: int = 0,
 ) -> list[EvalSplit]:
     """Partition samples into ID/OOD by rule membership, bucketed by hop.
 
-    ID means the sample's rule is in the training rule set.  Buckets can be
-    capped at ``per_bucket`` samples with a seeded uniform subsample; the
-    overall split is the union of its (capped) hop buckets.
+    ID means the sample's rule is in the training rule set.  Each side has
+    a bucket for hops 2, 3 and 4, empty or not, and for any other hop a
+    sample holds, ascending.  Buckets can be capped at ``per_bucket``
+    samples with a seeded uniform subsample; the overall split is the union
+    of its (capped) hop buckets.
     """
     if per_bucket is not None and per_bucket < 0:
         raise UsageError(f"per-bucket count must be >= 0, got {per_bucket}")
@@ -86,6 +87,7 @@ def build_splits(
         SPLIT_ID: [s for s in samples if s.rule_id in training],
         SPLIT_OOD: [s for s in samples if s.rule_id not in training],
     }
+    hops = sorted({2, 3, 4}.union(s.hop for s in samples))
     splits: list[EvalSplit] = []
     for name, group in groups.items():
         overall: list[ReasoningSample] = []

@@ -25,14 +25,14 @@ from .errors import UsageError
 from .generation import (
     ReasoningSample,
     chain_answer,
+    pool_sample,
     query_entities,
-    render_question,
-    sample_id_for,
     select_query_side,
     validated_polish,
     QUERY_SKIP,
 )
 from .kg import KnowledgeGraph, Triple
+from .mining import walk_chain
 from .rules import Rule, RuleInstance, RuleStats
 from .selection import SelectionPool, extend_name_map
 from .templates import SIDE_OBJECT, SIDE_SUBJECT, TemplateLibrary
@@ -189,11 +189,9 @@ def _grounded_facts(
     k = len(grounded) - 1
     if known_side == SIDE_SUBJECT:
         rels = rule.body_relations[:k]
-        ents = grounded
     else:
         rels = rule.body_relations[rule.hop - k :]
-        ents = grounded
-    return [(ents[i], rel, ents[i + 1]) for i, rel in enumerate(rels)]
+    return [(grounded[i], rel, grounded[i + 1]) for i, rel in enumerate(rels)]
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +224,8 @@ def _ground_chain(rule: Rule, known: int, known_side: str, oracle):
     forward = known_side == SIDE_SUBJECT
     step = oracle.successors if forward else oracle.predecessors
     deepest = [(known,)]
-    path = _first_path(step, rel_ids if forward else rel_ids[::-1], (known,), deepest)
+    walks = walk_chain(step, rel_ids if forward else rel_ids[::-1], (known,), deepest)
+    path = next(walks, None)
     if path is not None:
         return (path if forward else path[::-1]), None
     stall = deepest[0]
@@ -236,32 +235,6 @@ def _ground_chain(rule: Rule, known: int, known_side: str, oracle):
         atom_index=depth if forward else rule.hop - 1 - depth,
         grounded=stall if forward else stall[::-1],
     )
-
-
-def _first_path(
-    step: Callable[[int, int], Sequence[int]],
-    rels: Sequence[int],
-    path: tuple[int, ...],
-    deepest: list[tuple[int, ...]],
-) -> Optional[tuple[int, ...]]:
-    """The first full walk along ``rels`` that extends ``path``, trying each
-    step's candidates in order, or None.  ``deepest[0]`` becomes the first
-    walk that stalls deeper than it.
-
-    A module-level function rather than a closure that names itself, so no
-    reference cycle keeps the oracle's graph alive after the search.
-    """
-    depth = len(path) - 1
-    if depth == len(rels):
-        return path
-    nexts = step(path[-1], rels[depth])
-    if not nexts and len(path) > len(deepest[0]):
-        deepest[0] = path
-    for nxt in nexts:
-        found = _first_path(step, rels, path + (nxt,), deepest)
-        if found is not None:
-            return found
-    return None
 
 
 def explore(
@@ -436,31 +409,13 @@ def explore_samples(
     name_of = lambda e: pool.display_name(kg, e)  # noqa: E731
 
     samples: list[ReasoningSample] = []
-    for inst, side, asked, trace in explored:
+    for inst, side, _asked, trace in explored:
         text = render_trace(trace, library, name_of)
-        if polisher is not None:
-            conclude = trace.conclusion
-            required = [name_of(e) for e in conclude.entities]
-            text = validated_polish(polisher, text, required)
-        question = render_question(
-            inst, library.question(inst.rule.head_relation, side), name_of
-        )
+        required = [name_of(e) for e in trace.conclusion.entities]
+        text = validated_polish(polisher, text, required)
+        record = trace.to_record(name_of)
         samples.append(
-            ReasoningSample(
-                sample_id=sample_id_for(
-                    f"{pool.setting}-trial",
-                    inst.rule.rule_id,
-                    [kg.entity_name(e) for e in inst.entities],
-                    side,
-                ),
-                setting=pool.setting,
-                hop=inst.rule.hop,
-                rule_id=inst.rule.rule_id,
-                question=question,
-                answer=text,
-                golden_entity=name_of(asked),
-                trace=trace.to_record(name_of),
-            )
+            pool_sample(kg, pool, inst, side, text, library, name_of, record)
         )
     samples.sort(key=lambda s: s.sample_id)
     counts = {

@@ -120,21 +120,6 @@ def validated_polish(polisher, text: str, required_names: Iterable[str]) -> str:
     return polished
 
 
-def render_chain_answer(
-    kg: KnowledgeGraph,
-    instance: RuleInstance,
-    library: TemplateLibrary,
-    name_of: Callable[[int], str],
-    query_side: str = SIDE_OBJECT,
-    polisher=None,
-) -> str:
-    """The chain answer for an instance, asking about ``query_side``."""
-    _, asked = query_entities(instance, query_side)
-    text = chain_answer(instance.rule, instance.entities, asked, library, name_of)
-    required = [name_of(e) for e in instance.entities]
-    return validated_polish(polisher, text, required)
-
-
 # ----------------------------------------------------------------------
 # samples
 
@@ -187,6 +172,40 @@ def sample_id_for(setting: str, rule_id: str, entity_names: Iterable[str], side:
     return hashlib.sha1(key.encode("utf-8")).hexdigest()[:12]
 
 
+def pool_sample(
+    kg: KnowledgeGraph,
+    pool: SelectionPool,
+    instance: RuleInstance,
+    side: str,
+    answer: str,
+    library: TemplateLibrary,
+    name_of: Callable[[int], str],
+    trace: Optional[dict] = None,
+) -> ReasoningSample:
+    """The sample that asks a pool instance about ``side`` of its head fact.
+
+    A sample with a trace is a trial: its id is drawn under the setting
+    ``<setting>-trial``, so it never collides with the plain sample of the
+    same instance.
+    """
+    rule = instance.rule
+    id_setting = pool.setting if trace is None else f"{pool.setting}-trial"
+    names = [kg.entity_name(e) for e in instance.entities]
+    _, asked = query_entities(instance, side)
+    return ReasoningSample(
+        sample_id=sample_id_for(id_setting, rule.rule_id, names, side),
+        setting=pool.setting,
+        hop=rule.hop,
+        rule_id=rule.rule_id,
+        question=render_question(
+            instance, library.question(rule.head_relation, side), name_of
+        ),
+        answer=answer,
+        golden_entity=name_of(asked),
+        trace=trace,
+    )
+
+
 def make_samples(
     kg: KnowledgeGraph,
     pool: SelectionPool,
@@ -200,33 +219,16 @@ def make_samples(
     """
     samples: list[ReasoningSample] = []
     skipped = 0
+    name_of = lambda e: pool.display_name(kg, e)  # noqa: E731
     for inst in pool.instances():
-        name_of = lambda e: pool.display_name(kg, e)  # noqa: E731
         side = select_query_side(kg, inst)
         if side == QUERY_SKIP:
             skipped += 1
             continue
-        question = render_question(inst, library.question(inst.rule.head_relation, side), name_of)
-        answer = render_chain_answer(
-            kg, inst, library, name_of, query_side=side, polisher=polisher
-        )
         _, asked = query_entities(inst, side)
-        samples.append(
-            ReasoningSample(
-                sample_id=sample_id_for(
-                    pool.setting,
-                    inst.rule.rule_id,
-                    [kg.entity_name(e) for e in inst.entities],
-                    side,
-                ),
-                setting=pool.setting,
-                hop=inst.rule.hop,
-                rule_id=inst.rule.rule_id,
-                question=question,
-                answer=answer,
-                golden_entity=name_of(asked),
-            )
-        )
+        text = chain_answer(inst.rule, inst.entities, asked, library, name_of)
+        text = validated_polish(polisher, text, [name_of(e) for e in inst.entities])
+        samples.append(pool_sample(kg, pool, inst, side, text, library, name_of))
     samples.sort(key=lambda s: s.sample_id)
     return samples, {"samples": len(samples), "skipped_ambiguous": skipped}
 

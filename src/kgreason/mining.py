@@ -30,7 +30,7 @@ its cost follows the candidates kept, not the pairs tried.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import UsageError
 from .kg import KnowledgeGraph, Triple
@@ -125,12 +125,39 @@ def mine_rule_stats(kg: KnowledgeGraph) -> list[RuleStats]:
 # ----------------------------------------------------------------------
 # grounding and scoring for arbitrary chain length
 
+def walk_chain(
+    step: Callable[[int, Optional[int]], Sequence[int]],
+    rels: Sequence[Optional[int]],
+    path: tuple[int, ...],
+    deepest: Optional[list[tuple[int, ...]]] = None,
+) -> Iterator[tuple[int, ...]]:
+    """Every full walk along ``rels`` that extends ``path``, in ascending
+    order: ``step(eid, rid)`` lists the next entities from ``eid``,
+    ascending, and each is tried in turn.  With ``deepest``, ``deepest[0]``
+    becomes each walk that stalls deeper than it, so once the walks run out
+    it holds the first of the deepest stalls.
+
+    A module-level function rather than a closure that names itself, so no
+    reference cycle keeps the graph behind ``step`` alive after the walk,
+    even one left unfinished.
+    """
+    depth = len(path) - 1
+    if depth == len(rels):
+        yield path
+        return
+    nexts = step(path[-1], rels[depth])
+    if not nexts and deepest is not None and len(path) > len(deepest[0]):
+        deepest[0] = path
+    for nxt in nexts:
+        yield from walk_chain(step, rels, path + (nxt,), deepest)
+
+
 def iter_body_groundings(kg: KnowledgeGraph, rule: Rule) -> Iterator[tuple[int, ...]]:
     """Yield every full binding of the body chain as an entity id tuple.
 
-    Bindings come out grouped by first edge in canonical order, extensions
-    ascending, so the stream order is deterministic.  A body relation that
-    is absent from the graph yields nothing (the rule is unscorable).
+    Bindings come out in ascending order, walked on from each edge of the
+    first body relation.  A body relation that is absent from the graph
+    yields nothing (the rule is unscorable).
     """
     rels: list[int] = []
     for name in rule.body_relations:
@@ -138,24 +165,8 @@ def iter_body_groundings(kg: KnowledgeGraph, rule: Rule) -> Iterator[tuple[int, 
             return
         rels.append(kg.relation_id(name))
 
-    for h, t in kg.relation_pairs(rels[0]):
-        yield from _extensions(kg, rels, (h, t))
-
-
-def _extensions(
-    kg: KnowledgeGraph, rels: Sequence[int], prefix: tuple[int, ...]
-) -> Iterator[tuple[int, ...]]:
-    """Every full binding that starts with ``prefix``, extensions ascending.
-
-    A module-level function rather than a closure that names itself, so no
-    reference cycle keeps the graph alive after the stream ends.
-    """
-    depth = len(prefix) - 1
-    if depth == len(rels):
-        yield prefix
-        return
-    for nxt in kg.tails(prefix[-1], rels[depth]):
-        yield from _extensions(kg, rels, prefix + (nxt,))
+    for first_edge in kg.relation_pairs(rels[0]):
+        yield from walk_chain(kg.tails, rels, first_edge)
 
 
 def ground_rule(kg: KnowledgeGraph, rule: Rule) -> Iterator[RuleInstance]:

@@ -24,23 +24,24 @@ from .artifacts import write_lines
 # c = e.f and a = c.d, which is what makes composed rules minable.
 _COMPONENTS = ("h1", "h2")
 
+# How often a main thread closes its head fact, how often each of its
+# decomposed shortcuts (c, a) is present, how often an alternative thread
+# closes, and the share of uniform n_misc noise facts.
+_CLOSE_PROBABILITY = 0.8
+_DECOMPOSE_PROBABILITY = 0.9
+_ALT_CLOSE_PROBABILITY = 0.85
+_NOISE_FRACTION = 0.04
 
-def _pool(rng: random.Random, prefix: str, size: int) -> list[str]:
+
+def _pool(prefix: str, size: int) -> list[str]:
     return [f"{prefix}{i:04d}" for i in range(size)]
 
 
-def planted_triples(
-    seed: int,
-    target_triples: int,
-    close_probability: float = 0.8,
-    decompose_probability: float = 0.9,
-    alt_close_probability: float = 0.85,
-    noise_fraction: float = 0.04,
-) -> list[tuple[str, str, str]]:
+def planted_triples(seed: int, target_triples: int) -> list[tuple[str, str, str]]:
     """Generate roughly ``target_triples`` facts with planted rule structure.
 
     For each head relation h: chains support ``h(X,Y) <- a(X,Z1) & b(Z1,Y)``
-    with confidence near ``close_probability``, ``a`` decomposes via
+    with confidence near ``_CLOSE_PROBABILITY``, ``a`` decomposes via
     ``c`` and ``d``, ``c`` via ``e`` and ``f``, and a disjoint population
     supports the alternative ``h(X,Y) <- g(X,Z1) & k(Z1,Y)``.
     """
@@ -63,10 +64,10 @@ def planted_triples(
         # confidence near the closing probability instead of collapsing
         # under cross-thread pairings.
         pool_size = max(2, main_threads // 5)
-        vs = _pool(rng, f"v_{comp}_", pool_size)
-        us = _pool(rng, f"u_{comp}_", pool_size)
-        zs = _pool(rng, f"z_{comp}_", pool_size)
-        ys = _pool(rng, f"y_{comp}_", pool_size)
+        vs = _pool(f"v_{comp}_", pool_size)
+        us = _pool(f"u_{comp}_", pool_size)
+        zs = _pool(f"z_{comp}_", pool_size)
+        ys = _pool(f"y_{comp}_", pool_size)
         for i in range(pool_size):
             triples.append((vs[i], rel_f, us[i]))
             triples.append((us[i], rel_d, zs[i]))
@@ -75,26 +76,26 @@ def planted_triples(
             x = f"x_{comp}_{t:05d}"
             i = rng.randrange(pool_size)
             triples.append((x, rel_e, vs[i]))
-            if rng.random() < decompose_probability:
+            if rng.random() < _DECOMPOSE_PROBABILITY:
                 triples.append((x, rel_c, us[i]))
-            if rng.random() < decompose_probability:
+            if rng.random() < _DECOMPOSE_PROBABILITY:
                 triples.append((x, rel_a, zs[i]))
-            if rng.random() < close_probability:
+            if rng.random() < _CLOSE_PROBABILITY:
                 triples.append((x, comp, ys[i]))
 
         alt_pool = max(2, alt_threads // 5)
-        ws = _pool(rng, f"w_{comp}_", alt_pool)
-        qs = _pool(rng, f"q_{comp}_", alt_pool)
+        ws = _pool(f"w_{comp}_", alt_pool)
+        qs = _pool(f"q_{comp}_", alt_pool)
         for i in range(alt_pool):
             triples.append((ws[i], rel_k, qs[i]))
         for t in range(alt_threads):
             p = f"p_{comp}_{t:05d}"
             i = rng.randrange(alt_pool)
             triples.append((p, rel_g, ws[i]))
-            if rng.random() < alt_close_probability:
+            if rng.random() < _ALT_CLOSE_PROBABILITY:
                 triples.append((p, comp, qs[i]))
 
-    noise = int(target_triples * noise_fraction)
+    noise = int(target_triples * _NOISE_FRACTION)
     entities = sorted({e for h, _, t in triples for e in (h, t)})
     for _ in range(noise):
         triples.append(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 def brute_two_hop(raw_triples: Iterable[tuple[str, str, str]]) -> dict:
@@ -84,3 +84,37 @@ def brute_rule_score(
         1 for g in groundings if (g[0], head_relation, g[-1]) in triples
     )
     return len(groundings), closed
+
+
+def brute_walks(
+    raw_triples: Iterable[tuple[str, str, str]],
+    relations: Sequence[str],
+    start: str,
+) -> list[tuple[str, ...]]:
+    """Every walk from ``start`` along a prefix of ``relations``, the empty
+    prefix included, found by trying every entity at every step."""
+    triples = set(raw_triples)
+    entities = {h for h, _, _ in triples} | {t for _, _, t in triples}
+    walks = frontier = [(start,)]
+    for rel in relations:
+        frontier = [
+            walk + (e,) for walk in frontier for e in entities
+            if (walk[-1], rel, e) in triples
+        ]
+        walks = walks + frontier
+    return walks
+
+
+def brute_first_walk(
+    raw_triples: Iterable[tuple[str, str, str]],
+    relations: Sequence[str],
+    start: str,
+) -> tuple[Optional[tuple[str, ...]], Optional[tuple[str, ...]]]:
+    """(the smallest full walk, None), or when there is none (None, the
+    smallest of the longest walks), which all stall there."""
+    walks = brute_walks(raw_triples, relations, start)
+    full = [w for w in walks if len(w) == len(relations) + 1]
+    if full:
+        return min(full), None
+    longest = max(map(len, walks))
+    return None, min(w for w in walks if len(w) == longest)

@@ -265,6 +265,52 @@ class TestRegularSetting:
         assert len(clients) == 1 and tables == ["probe.tsv"]
         assert (run / "trial.jsonl").read_text(encoding="utf-8").count("\n") == 1
 
+    def test_a_client_that_only_polishes_reads_no_probe_facts(
+        self, tmp_path, monkeypatch
+    ):
+        run = self.prepare(tmp_path)
+        (run / "probe.tsv").write_text(
+            "anykid\tpart_of\tcckqlvy\ncckqlvy\tfrom_country\tvevedgta\n",
+            encoding="utf-8",
+        )
+        run_cli(
+            run, "select", "--store", "store.json", "--library", "rules.tsv",
+            "--pool", "pool.tsv", "--setting", "regular", "--per-rule", "1",
+            "--client", "mock", "--probe-facts", "probe.tsv",
+        )
+        # generate has no --probe-facts; a config key of another stage is
+        # skipped.
+        (run / "run.cfg").write_text("probe_facts=probe.tsv\n", encoding="utf-8")
+        tables = []
+        monkeypatch.setattr(cli, "_probe_table", lambda *args: tables.append(args))
+        monkeypatch.chdir(run)
+        polish = ["--polisher", "live", "--client", "mock"]
+        assert cli.main([
+            "generate", "--store", "store.json", "--pool", "pool.tsv",
+            "--samples", "samples.jsonl", "--config", "run.cfg", *polish,
+        ]) == 0
+        assert cli.main([
+            "explore", "--store", "store.json", "--pool", "pool.tsv",
+            "--library", "rules.tsv", "--samples", "trial.jsonl",
+            "--oracle", "kg", *polish, "--probe-facts", "probe.tsv",
+        ]) == 0
+        assert tables == []
+        manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+        for stage in ("generate", "explore"):
+            assert "probe_facts" not in manifest["stages"][stage]["config"]
+        assert (run / "samples.jsonl").read_text(encoding="utf-8").count("\n") == 1
+
+    def test_generate_takes_no_probe_facts(self, tmp_path):
+        run = self.prepare(tmp_path)
+        proc = run_cli(
+            run, "generate", "--store", "store.json", "--pool", "pool.tsv",
+            "--samples", "samples.jsonl", "--probe-facts", "probe.tsv",
+            check=False,
+        )
+        assert proc.returncode == 1
+        assert "usage error: unrecognized arguments: --probe-facts" in proc.stderr
+        assert not (run / "samples.jsonl").exists()
+
     def test_templates_sharing_a_pattern_share_a_verdict(self, tmp_path):
         # The mock model knows sentences, not facts: (a, r2, b) is not in
         # the probe file, but (a, r1, b) is and renders the same sentence

@@ -684,15 +684,21 @@ class TestBuildSplits:
         assert len(by_key["OOD-all"].samples) == 1
         assert {s.sample_id for s in by_key["OOD-all"].samples} == {"ood2-0"}
 
-    def test_samples_outside_hop_range_excluded(self):
-        extra = self.make_samples() + [sample("id5-0", R_CIT, "Wcsa", hop=5)]
+    def test_every_hop_a_sample_holds_gets_a_bucket(self):
+        extra = self.make_samples() + [
+            sample("id5-0", R_CIT, "Wcsa", hop=5),
+            sample("ood1-0", R_LANG, "Crbzovw", hop=1),
+        ]
         splits = build_splits(extra, self.training_ids())
-        by_key = {s.key: s for s in splits}
-        collected = {
-            s.sample_id for split in splits for s in split.samples
-        }
-        assert "id5-0" not in collected
-        assert len(by_key["ID-all"].samples) == 5
+        assert [s.key for s in splits] == [
+            f"{name}-{hop}" for name in ("ID", "OOD")
+            for hop in ("all", "1hop", "2hop", "3hop", "4hop", "5hop")
+        ]
+        by_key = {s.key: [x.sample_id for x in s.samples] for s in splits}
+        assert by_key["ID-5hop"] == ["id5-0"] and by_key["ID-1hop"] == []
+        assert by_key["OOD-1hop"] == ["ood1-0"] and by_key["OOD-5hop"] == []
+        assert len(by_key["ID-all"]) == 6
+        assert sorted(by_key["OOD-all"]) == ["ood1-0", "ood2-0"]
 
     def test_per_bucket_cap_is_seeded_and_sorted(self):
         samples = self.make_samples()

@@ -32,7 +32,7 @@ from kgreason.explore import (
     order_candidates,
     render_trace,
 )
-from kgreason.generation import render_chain_answer, sample_id_for
+from kgreason.generation import chain_answer, sample_id_for
 from kgreason.kg import Triple
 from kgreason.mining import ground_rule
 from kgreason.rules import Rule, RuleStats
@@ -461,8 +461,9 @@ class TestRenderTrace:
         text = render_trace(trace, TemplateLibrary.builtin(), kg.entity_name)
         assert text == PLAIN_ANSWER
         inst = next(ground_rule(kg, RULE_GOOD))
-        assert text == render_chain_answer(
-            kg, inst, TemplateLibrary.builtin(), kg.entity_name
+        assert text == chain_answer(
+            inst.rule, inst.entities, inst.object, TemplateLibrary.builtin(),
+            kg.entity_name,
         )
 
     def test_error_trace_narrates_abandoned_path(self):

@@ -14,11 +14,11 @@ from kgreason.generation import (
     QUERY_SKIP,
     ReasoningSample,
     build_corpus,
+    chain_answer,
     corpus_from_pool,
     make_samples,
     query_entities,
     read_samples,
-    render_chain_answer,
     render_question,
     sample_id_for,
     select_query_side,
@@ -85,6 +85,13 @@ class TestQuerySide:
             query_entities(inst, QUERY_SKIP)
 
 
+def object_answer(kg, inst, lib, polisher=None):
+    """The chain answer asking for the object, polished as make_samples
+    polishes it."""
+    text = chain_answer(inst.rule, inst.entities, inst.object, lib, kg.entity_name)
+    return validated_polish(polisher, text, [kg.entity_name(e) for e in inst.entities])
+
+
 class TestRendering:
     def test_question_text(self):
         kg, inst = citizen_instance()
@@ -97,7 +104,7 @@ class TestRendering:
     def test_chain_answer_structure(self):
         kg, inst = citizen_instance()
         lib = TemplateLibrary.builtin()
-        answer = render_chain_answer(kg, inst, lib, kg.entity_name)
+        answer = object_answer(kg, inst, lib)
         assert answer == (
             "anykid is a part of cckqlvy. "
             "cckqlvy is from the country vevedgta. "
@@ -112,8 +119,7 @@ class TestRendering:
         ]
         kg = kg_from(triples)
         (inst,) = ground_rule(kg, Rule("h", ("r1", "r2", "r3", "r4")))
-        answer = render_chain_answer(kg, inst, TemplateLibrary.builtin(),
-                                     kg.entity_name)
+        answer = object_answer(kg, inst, TemplateLibrary.builtin())
         chain, _, tail = answer.partition(" Therefore, ")
         assert chain.count(".") == 4
         assert tail.endswith("Thus, e is the answer.")
@@ -125,16 +131,13 @@ class TestRendering:
         def shouty(instruction, text):
             return text.replace("is a part of", "belongs to")
 
-        answer = render_chain_answer(kg, inst, lib, kg.entity_name,
-                                     polisher=shouty)
+        answer = object_answer(kg, inst, lib, polisher=shouty)
         assert "anykid belongs to cckqlvy" in answer
 
     def test_polisher_dropping_entity_falls_back(self):
         kg, inst = citizen_instance()
         lib = TemplateLibrary.builtin()
-        answer = render_chain_answer(
-            kg, inst, lib, kg.entity_name, polisher=lambda i, t: "gone."
-        )
+        answer = object_answer(kg, inst, lib, polisher=lambda i, t: "gone.")
         assert "Thus, vevedgta is the answer." in answer
 
     def test_validated_polish_direct(self):
