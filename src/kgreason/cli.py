@@ -340,11 +340,14 @@ def cmd_compose(opts: Options) -> tuple[None, Counts]:
     composed = mining.compose_library([st.rule for st in base], max_hop=max_hop)
     kept: list[RuleStats] = []
     # Bodies in sorted order share the longest prefixes with their
-    # predecessor; the library is sorted again below, so order is free.
+    # predecessor, and the heads of one body its counts; the library is
+    # sorted again below, so order is free.  support/body_count > num/den
+    # is compared in integers, as den > 0.
+    num, den = threshold.numerator, threshold.denominator
     chains = mining.ChainCounts(kg)
     for rule in sorted(composed, key=lambda r: r.body_relations):
         scored = mining.score_rule(kg, rule, chains)
-        if scored.confidence is not None and scored.confidence > threshold:
+        if scored.body_count > 0 and scored.support * den > num * scored.body_count:
             kept.append(scored)
     count = write_rules(opts.output("out", "library"), sort_stats(list(base) + kept))
     print(

@@ -16,11 +16,11 @@ all lanes and y the sum of the lanes whose start the head relation links
 to that end.  The lane width comes from a bound on a block's path count
 that is read off the graph before counting, so no lane overflows and the
 counts are exact.  The work follows the distinct (block, end) pairs per
-prefix, not the path count, which grows exponentially with hop, and
-bodies that share a prefix share its propagation.  Thresholds are
-interpreted as exact decimals so that the strict comparison at a boundary
-such as 0.6 behaves the way the printed number reads, not the way its
-nearest binary float rounds.
+prefix, not the path count, which grows exponentially with hop, bodies
+that share a prefix share its propagation, and the heads of one body share
+its body count.  Thresholds are interpreted as exact decimals so that the
+strict comparison at a boundary such as 0.6 behaves the way the printed
+number reads, not the way its nearest binary float rounds.
 
 Composition splices two-hop rules into each other as ``(head, body)``
 relation tuples and builds a ``Rule`` only for each distinct candidate, so
@@ -30,9 +30,11 @@ its cost follows the candidates kept, not the pairs tried.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from operator import and_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import UsageError
+from .errors import UnknownSymbolError, UsageError
 from .kg import KnowledgeGraph, Triple
 from .rules import DEFAULT_MAX_HOP, Rule, RuleInstance, RuleStats, sort_stats
 
@@ -215,7 +217,8 @@ class ChainCounts:
     The levels of the last body's prefixes stay on a stack, one per
     relation: a body that shares its first k relations with the previous
     body only propagates the rest, so scoring bodies in sorted order reuses
-    the most.
+    the most.  The same body again reuses its level and its body count, so
+    the heads of one body pay one count and a masked sum each.
     """
 
     def __init__(self, kg: KnowledgeGraph):
@@ -225,6 +228,9 @@ class ChainCounts:
         self._width = 0
         self._rels: list[int] = []
         self._levels: list[dict[int, dict[int, int]]] = []
+        # The body count of the level on top of the stack, once summed.
+        self._body_count: Optional[int] = None
+        self._succ: dict[int, dict[int, list[int]]] = {}
         self._masks: dict[int, dict[int, dict[int, int]]] = {}
 
     def count(self, rels: Sequence[int], head: Optional[int]) -> tuple[int, int]:
@@ -238,14 +244,19 @@ class ChainCounts:
             self._masks.clear()
         level = self._level(rels)
         modulus = (1 << self._width) - 1
-        x = sum(sum(ends.values()) % modulus for ends in level.values())
+        x = self._body_count
+        if x is None:
+            x = sum(sum(ends.values()) % modulus for ends in level.values())
+            self._body_count = x
         y = 0
         if head is not None:
             masks = self._head_masks(head)
             for block, ends in level.items():
                 row = masks.get(block)
                 if row:
-                    y += sum(ends.get(c, 0) & m for c, m in row.items()) % modulus
+                    # Each end's column ANDed with its mask, in row order.
+                    cols = map(ends.get, row, repeat(0))
+                    y += sum(map(and_, cols, row.values())) % modulus
         return x, y
 
     def _level(self, rels: Sequence[int]) -> dict[int, dict[int, int]]:
@@ -253,27 +264,39 @@ class ChainCounts:
         shared = min(len(rels), len(self._rels))
         while keep < shared and rels[keep] == self._rels[keep]:
             keep += 1
+        if keep == len(rels) == len(self._rels):
+            return self._levels[-1]  # the same body: its level and count stand
+        self._body_count = None
         del self._rels[keep:]
         del self._levels[keep:]
-        kg = self.kg
         for rid in rels[keep:]:
             level: dict[int, dict[int, int]] = {}
             if self._levels:
+                tails = self._successors(rid).get
                 for block, ends in self._levels[-1].items():
                     nxt: dict[int, int] = {}
                     for b, v in ends.items():
-                        for c in kg.tails(b, rid):
+                        for c in tails(b, ()):
                             nxt[c] = nxt.get(c, 0) + v
                     if nxt:
                         level[block] = nxt
             else:
-                for h, t in kg.relation_pairs(rid):
+                for h, t in self.kg.relation_pairs(rid):
                     block, lane = divmod(h, _LANES)
                     row = level.setdefault(block, {})
                     row[t] = row.get(t, 0) | 1 << (self._width * lane)
             self._rels.append(rid)
             self._levels.append(level)
         return self._levels[-1]
+
+    def _successors(self, rid: int) -> dict[int, list[int]]:
+        """Each head's tails under ``rid``, one dict per relation."""
+        succ = self._succ.get(rid)
+        if succ is None:
+            succ = self._succ[rid] = {}
+            for h, t in self.kg.relation_pairs(rid):
+                succ.setdefault(h, []).append(t)
+        return succ
 
     def _head_masks(self, head: int) -> dict[int, dict[int, int]]:
         masks = self._masks.get(head)
@@ -301,16 +324,18 @@ def score_rule(
         chains = ChainCounts(kg)
     elif chains.kg is not kg:
         raise UsageError("chain counts were built for another graph")
-    if not all(kg.has_relation(name) for name in rule.body_relations):
+    try:
+        rels = [kg.relation_id(name) for name in rule.body_relations]
+    except UnknownSymbolError:
         # An absent body relation leaves the rule unscorable.
-        return RuleStats(rule=rule, support=0, body_count=0)
+        return RuleStats(rule, 0, 0)
     head = (
         kg.relation_id(rule.head_relation)
         if kg.has_relation(rule.head_relation)
         else None
     )
-    x, y = chains.count([kg.relation_id(name) for name in rule.body_relations], head)
-    return RuleStats(rule=rule, support=y, body_count=x)
+    x, y = chains.count(rels, head)
+    return RuleStats(rule, y, x)
 
 
 # ----------------------------------------------------------------------
@@ -365,12 +390,13 @@ def compose_library(
         for head, body in outers:
             room = max_hop - len(body) + 1
             for at, rel in enumerate(body):
-                if rel in body[:at]:
+                before, after = body[:at], body[at + 1 :]
+                if rel in before:
                     continue  # only the leftmost occurrence is replaced
                 for inner in inners.get(rel, ()):
                     if len(inner) > room:
                         continue
-                    rule = (head, body[:at] + inner + body[at + 1 :])
+                    rule = (head, before + inner + after)
                     if rule not in seen:
                         seen.add(rule)
                         out.append(rule)
@@ -378,6 +404,7 @@ def compose_library(
 
     three = splice(base)
     four = splice(three)
-    out = [Rule(head, body) for head, body in three + four]
+    # Every name comes from a rule built already, so none is checked again.
+    out = [Rule._make(rule) for rule in three + four]
     out.sort(key=lambda r: (r.hop, r.rule_id))
     return out

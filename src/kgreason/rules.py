@@ -8,10 +8,10 @@ and always form the canonical sequence X, Z1, Z2, ..., Y.
 
 The canonical textual encoding doubles as the rule id and as the sort tie
 breaker everywhere ordered rule lists are produced.  It is built once per
-rule, straight from the relation names and ``chain_vars``, and cached in the
-rule's instance dict, not in the two fields that a ``Rule`` hashes and
-compares by; the rules file and ``formula`` write their atoms the same
-way.  Relation names may not contain ``(``, ``)``, ``,`` or ``&``, the
+rule, by filling the relation names into a per-hop format made from
+``chain_vars``, and cached in the rule's instance dict, not in the two
+fields that a ``Rule`` hashes and compares by; the rules file and
+``formula`` write their atoms the same way.  Relation names may not contain ``(``, ``)``, ``,`` or ``&``, the
 encoding's delimiters, so the encoding is injective: two rules share an id
 exactly when they share their head relation and body relation sequence.
 """
@@ -19,12 +19,13 @@ exactly when they share their head relation and body relation sequence.
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
+from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
-from .artifacts import read_records, write_records
+from .artifacts import read_records, write_lines
 from .errors import DataError, UsageError
 from .kg import Triple, check_relation_name
 
@@ -40,6 +41,14 @@ def chain_vars(hop: int) -> tuple[str, ...]:
     if hop < MIN_HOP:
         raise UsageError(f"hop must be >= {MIN_HOP}, got {hop}")
     return (VAR_X, *[f"Z{i}" for i in range(1, hop)], VAR_Y)
+
+
+@lru_cache(maxsize=None)
+def _id_format(hop: int) -> str:
+    """The encoding of a ``hop``-atom rule, with a ``%s`` for each relation."""
+    names = chain_vars(hop)
+    body = "&".join("%%s(%s,%s)" % pair for pair in zip(names, names[1:]))
+    return f"%s({VAR_X},{VAR_Y})<-{body}"
 
 
 class Rule(
@@ -62,12 +71,9 @@ class Rule(
     @cached_property
     def rule_id(self) -> str:
         """Compact canonical encoding, stable across runs on the same data."""
-        names = chain_vars(len(self.body_relations))
-        body = "&".join(
-            f"{rel}({a},{b})"
-            for rel, a, b in zip(self.body_relations, names, names[1:])
+        return _id_format(len(self.body_relations)) % (
+            self.head_relation, *self.body_relations
         )
-        return f"{self.head_relation}({VAR_X},{VAR_Y})<-{body}"
 
     def formula(self) -> str:
         """Readable rendering used inside generated reasoning text."""
@@ -146,75 +152,96 @@ class RuleInstance(NamedTuple):
 def sort_stats(stats: Iterable[RuleStats]) -> list[RuleStats]:
     """Descending confidence, ties broken by ascending rule encoding.
 
-    Unscorable rules come last.  Each distinct confidence is ranked once, so
-    the sort itself compares ints and strings.  A confidence is keyed by its
-    lowest-terms (numerator, denominator), which ``Fraction`` always holds,
-    and ranked by the floor of 2**64 times its value, then exactly only
-    between confidences that share that floor.
+    Unscorable rules come last.  Each distinct (support, body_count) pair
+    gets its exact confidence once, and each distinct confidence is ranked
+    once, by the floor of 2**64 times its value, then exactly only between
+    confidences that share that floor.  So the sort itself compares ints
+    and strings.
     """
     stats = list(stats)
-    values: dict[tuple[int, int], Fraction] = {}
+    confs: dict[tuple[int, int], Fraction] = {}
     for st in stats:
-        conf = st.confidence
-        if conf is not None:
-            values[conf.numerator, conf.denominator] = conf
+        counts = (st.support, st.body_count)
+        if st.body_count and counts not in confs:
+            confs[counts] = Fraction(*counts)
     distinct = sorted(
-        values,
-        key=lambda nd: ((nd[0] << 64) // nd[1], values[nd]),
+        set(confs.values()),
+        key=lambda c: ((c.numerator << 64) // c.denominator, c),
         reverse=True,
     )
-    rank = {nd: i for i, nd in enumerate(distinct)}
+    rank = {c: i for i, c in enumerate(distinct)}
+    by_counts = {counts: rank[c] for counts, c in confs.items()}
     last = len(distinct)
+    return sorted(
+        stats,
+        key=lambda st: (by_counts.get((st.support, st.body_count), last), st.rule.rule_id),
+    )
 
-    def key(st: RuleStats) -> tuple[int, str]:
-        conf = st.confidence
-        if conf is None:
-            return last, st.rule.rule_id
-        return rank[conf.numerator, conf.denominator], st.rule.rule_id
 
-    return sorted(stats, key=key)
+@lru_cache(maxsize=None)
+def _record_format(hop: int) -> str:
+    """The rules-file line of a ``hop``-atom rule, with a ``%s`` for the rule
+    id, each relation name and each count."""
+    names = chain_vars(hop)
+    atoms = ",".join(
+        '{"relation":%%s,"vars":["%s","%s"]}' % pair for pair in zip(names, names[1:])
+    )
+    return (
+        '{"rule":%s,"head":{"relation":%s,"vars":["' + VAR_X + '","' + VAR_Y
+        + '"]},"body":[' + atoms + '],"hop":' + str(hop)
+        + ',"support":%s,"body_count":%s,"confidence":%s}'
+    )
 
 
 def write_rules(path: str | Path, stats: Iterable[RuleStats]) -> int:
-    """Write one rule per line in the order given.  Returns the line count."""
+    """Write one rule per line in the order given.  Returns the line count.
 
-    def record(st: RuleStats) -> dict:
+    Each line is the compact JSON record ``{"rule", "head", "body", "hop",
+    "support", "body_count", "confidence"}``, filled into a per-hop format:
+    names go through the escaper of json's compact ``ensure_ascii=False``
+    encoder, and the confidence is the ``repr`` of ``support / body_count``,
+    the correctly rounded float that ``float`` of the exact ratio gives.
+    """
+
+    def line(st: RuleStats) -> str:
         rule = st.rule
-        names = chain_vars(rule.hop)
-        conf = st.confidence
-        return {
-            "rule": rule.rule_id,
-            "head": {"relation": rule.head_relation, "vars": [VAR_X, VAR_Y]},
-            "body": [
-                {"relation": rel, "vars": [a, b]}
-                for rel, a, b in zip(rule.body_relations, names, names[1:])
-            ],
-            "hop": rule.hop,
-            "support": st.support,
-            "body_count": st.body_count,
-            "confidence": float(conf) if conf is not None else None,
-        }
+        body = rule.body_relations
+        conf = repr(st.support / st.body_count) if st.body_count else "null"
+        return _record_format(len(body)) % (
+            _quote(rule.rule_id), _quote(rule.head_relation), *map(_quote, body),
+            st.support, st.body_count, conf,
+        )
 
-    return write_records(path, map(record, stats))
+    return write_lines(path, map(line, stats))
 
 
 def read_rules(path: str | Path) -> list[RuleStats]:
-    """Load a rules file.  Confidence is recomputed exactly from the counts."""
+    """Load a rules file.  Confidence is recomputed exactly from the counts.
+
+    ``support`` and ``body_count`` are ints with ``0 <= support <=
+    body_count``, and no rule is listed twice; any other line is a data
+    error naming the file and the line.
+    """
+    seen: set[Rule] = set()
 
     def parse(record) -> RuleStats:
         rule = Rule(
             record["head"]["relation"],
             tuple(a["relation"] for a in record["body"]),
         )
-        stats = RuleStats(
-            rule=rule,
-            support=int(record["support"]),
-            body_count=int(record["body_count"]),
-        )
         if record.get("rule") not in (None, rule.rule_id):
+            raise DataError(f"rule id {record['rule']!r} does not match its atoms")
+        support, body_count = record["support"], record["body_count"]
+        if type(support) is not int or type(body_count) is not int:
+            raise DataError("support and body_count must be integers")
+        if not 0 <= support <= body_count:
             raise DataError(
-                f"{path}: rule id {record['rule']!r} does not match its atoms"
+                f"support {support} and body_count {body_count} "
+                "break 0 <= support <= body_count"
             )
-        return stats
+        if rule in seen:
+            raise DataError(f"rule {rule.rule_id!r} is listed twice")
+        seen.add(rule)
+        return RuleStats(rule, support, body_count)
 
     return read_records(path, "rule record", parse)

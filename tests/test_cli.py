@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -559,6 +560,27 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("edit", ["bad counts", "repeated line"])
+    def test_rules_file_no_stage_can_read(self, pipeline_dir, tmp_path, edit):
+        # Compose, select and evaluate each read a rules file through one
+        # reader; each once took these lines and exited 0.
+        lines = (pipeline_dir / "rules.tsv").read_text(encoding="utf-8").splitlines()
+        if edit == "bad counts":
+            record = json.loads(lines[1])
+            record.update(support=5, body_count=2)
+            lines[1] = json.dumps(record)
+        else:
+            lines.insert(1, lines[0])
+        (tmp_path / "rules.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        proc = run_cli(
+            tmp_path, "compose", "--store", str(pipeline_dir / "store.json"),
+            "--rules", "rules.tsv", "--out", "library.tsv", check=False,
+        )
+        assert proc.returncode == 2
+        assert "data error: rules.tsv: bad rule record on line 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "library.tsv").exists()
+
     def test_corrupt_store_file(self, tmp_path):
         (tmp_path / "store.json").write_text("not a store", encoding="utf-8")
         proc = run_cli(tmp_path, "stats", "--store", "store.json", check=False)
@@ -974,6 +996,29 @@ class TestPinnedArtifacts:
             "--out", "library.tsv", "--min-confidence", "0.11",
         )
         self.assert_pinned(pinned, "random-graph compose", tmp_path)
+
+    def test_dense_graph_library(self, pinned, tmp_path):
+        # 30 entities, each with 3 distinct successors under each of 4
+        # relations.  At 0.07 nearly every 2-hop rule is kept, so compose
+        # scores all 4 heads of all 64 three-hop and 256 four-hop bodies:
+        # 1,280 candidates, of which 1,278 join the 63 base rules.
+        rng = random.Random("dense-777")
+        with open(tmp_path / "triples.tsv", "w", encoding="utf-8") as fh:
+            for e in range(30):
+                for r in range(4):
+                    for t in sorted(rng.sample(range(30), 3)):
+                        fh.write(f"e{e}\tr{r}\te{t}\n")
+        run_cli(tmp_path, "ingest", "--triples", "triples.tsv", "--store", "store.json")
+        run_cli(
+            tmp_path, "mine", "--store", "store.json", "--out", "rules.tsv",
+            "--min-support", "2", "--min-confidence", "0.07",
+        )
+        proc = run_cli(
+            tmp_path, "compose", "--store", "store.json", "--rules", "rules.tsv",
+            "--out", "library.tsv", "--min-confidence", "0.07",
+        )
+        assert "composed 1280 candidates, kept 1278; library holds 1341" in proc.stdout
+        self.assert_pinned(pinned, "dense compose", tmp_path)
 
 
 class TestReservedRelationNames:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bruteforce import brute_chain_groundings, brute_rule_score, brute_two_hop
 from conftest import kg_from, random_triples
+from kgreason import cli
 from kgreason.errors import UsageError
 from kgreason.mining import (
     ChainCounts,
@@ -23,7 +24,12 @@ from kgreason.mining import (
     score_rule,
 )
 from kgreason.rules import Rule, RuleStats
-from rule_oracles import compose_library_pairwise, compose_rules
+from rule_oracles import (
+    compose_library_pairwise,
+    compose_rules,
+    sort_stats_by_fraction,
+    write_rules_by_atoms,
+)
 
 
 def mined_instances(kg):
@@ -385,3 +391,53 @@ class TestComposition:
             for g in iter_body_groundings(kg, composed)
         }
         assert got == brute_chain_groundings(triples, ("r3", "r4", "r2"))
+
+
+class TestComposeOracle:
+    """The ``compose`` stage writes the library that the slow path builds:
+    every candidate scored alone by enumeration, kept by a ``Fraction``
+    comparison, ordered by ``Fraction`` keys and written atom by atom."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**30),
+        st.sampled_from(["0", "0.1", "0.25", "1/3", "0.5", "2/3"]),
+        st.sampled_from([2, 3, 4]),
+    )
+    def test_library_bytes_equal_oracle_path(
+        self, tmp_path_factory, seed, threshold, max_hop
+    ):
+        rng = random.Random(seed)
+        triples = random_triples(rng, 8, 3, rng.randint(10, 40))
+        # Few bodies, each under several heads; ``absent`` is no relation of
+        # the store, as a head or in a body.
+        names = ["r0", "r1", "r2", "absent"]
+        bodies = {
+            (rng.choice(names), rng.choice(names)) for _ in range(rng.randint(1, 5))
+        }
+        base = []
+        for body in sorted(bodies):
+            for head in rng.sample(names, rng.randint(1, 4)):
+                body_count = rng.randint(0, 9)
+                base.append(
+                    RuleStats(Rule(head, body), rng.randint(0, body_count), body_count)
+                )
+        rng.shuffle(base)
+
+        d = tmp_path_factory.mktemp("compose")
+        kg_from(triples).save(d / "store.json")
+        write_rules_by_atoms(d / "rules.tsv", base)
+        assert cli.main([
+            "compose", "--store", str(d / "store.json"),
+            "--rules", str(d / "rules.tsv"), "--out", str(d / "library.tsv"),
+            "--max-hop", str(max_hop), "--min-confidence", threshold,
+            "--manifest", str(d / "manifest.json"),
+        ]) == 0
+
+        kept = []
+        for rule in compose_library_pairwise([s.rule for s in base], max_hop):
+            x, y = brute_rule_score(triples, rule.head_relation, rule.body_relations)
+            if x > 0 and Fraction(y, x) > Fraction(threshold):
+                kept.append(RuleStats(rule, y, x))
+        write_rules_by_atoms(d / "oracle.tsv", sort_stats_by_fraction(base + kept))
+        assert (d / "library.tsv").read_bytes() == (d / "oracle.tsv").read_bytes()

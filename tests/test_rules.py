@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -162,6 +163,71 @@ class TestRulesFile:
         with pytest.raises(DataError):
             read_rules(path)
 
+    # Counts that no rules file can mean.  Each once read as a rule: 2.7 as
+    # support 2, "7" as 7, true as 1, -3/-1 as confidence 3 and 5/2 as 5/2.
+    @pytest.mark.parametrize(
+        "support, body_count",
+        [
+            (2.7, 3),
+            ("7", 9),
+            (True, 1),
+            (1, True),
+            (1, 2.0),
+            (-3, -1),
+            (-1, 2),
+            (5, 2),
+        ],
+        ids=[
+            "float-support",
+            "string-support",
+            "bool-support",
+            "bool-body-count",
+            "float-body-count",
+            "negative-counts",
+            "negative-support",
+            "support-above-body-count",
+        ],
+    )
+    def test_counts_no_rules_file_can_mean_are_rejected(
+        self, tmp_path, support, body_count
+    ):
+        path = tmp_path / "rules.jsonl"
+        write_rules(path, [RuleStats(Rule("g", ("a", "b")), 1, 2)])
+        record = {
+            "head": {"relation": "h"},
+            "body": [{"relation": "a"}, {"relation": "b"}],
+            "support": support,
+            "body_count": body_count,
+        }
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        with pytest.raises(DataError, match="rules.jsonl: bad rule record on line 2"):
+            read_rules(path)
+
+    def test_count_bounds_are_inclusive(self, tmp_path):
+        path = tmp_path / "rules.jsonl"
+        stats = [
+            RuleStats(Rule("g", ("a", "b")), 0, 0),
+            RuleStats(Rule("h", ("a", "b")), 0, 2),
+            RuleStats(Rule("i", ("a", "b")), 2, 2),
+        ]
+        write_rules(path, stats)
+        assert read_rules(path) == stats
+
+    def test_a_rule_listed_twice_is_rejected(self, tmp_path):
+        # The second line repeats the rule of the first, with other counts.
+        path = tmp_path / "rules.jsonl"
+        write_rules(path, [
+            RuleStats(Rule("h", ("a", "b")), 1, 2),
+            RuleStats(Rule("h", ("a", "b")), 1, 3),
+        ])
+        with pytest.raises(
+            DataError,
+            match=r"rules.jsonl: bad rule record on line 2: rule "
+            r"'h\(X,Y\)<-a\(X,Z1\)&b\(Z1,Y\)' is listed twice",
+        ):
+            read_rules(path)
+
 
 class TestReservedNames:
     def test_ambiguous_pair_cannot_be_built(self):
@@ -212,12 +278,17 @@ class TestFastPathOracles:
         st.lists(
             st.tuples(
                 free_rules,
-                st.integers(0, 50),
-                st.integers(0, 50),
+                st.integers(0, 10**30),
+                st.integers(0, 10**30),
             ),
             max_size=8,
         )
     )
+    @example([
+        (Rule('q"h\\', ("\x01a\tb", "é☃\u2028")), 1, 3),
+        (Rule("\x7f\\n", ('"', "\x1f", "𝄞")), 10**29 + 7, 10**30 - 1),
+        (Rule("h", ("\r\n", "b")), 0, 0),
+    ])
     def test_write_rules_bytes_equal_atom_writer(self, tmp_path_factory, rows):
         stats = [
             RuleStats(rule, min(y, x), x) for rule, y, x in rows
