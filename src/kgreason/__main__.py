@@ -3,9 +3,14 @@
 import gc
 import sys
 
-from .cli import main
-
 if __name__ == "__main__":
+    # A stage process runs without cyclic GC, from before cli is imported.
+    # A loaded store is hundreds of thousands of lists and tuples that each
+    # collection would walk, and reference counting alone frees a stage's
+    # graph: tests/test_graph_lifetime.py keeps it out of reference cycles.
+    gc.disable()
+    from .cli import main
+
     code = main()
     # Move every live object out of the collector's reach, so that the
     # collections the interpreter runs while it shuts down skip the heap.

@@ -217,11 +217,12 @@ def _probe(
 def _probe_table(
     kg: KnowledgeGraph, templates: TemplateLibrary, facts_path: str
 ) -> frozenset[str]:
-    """Sentences the simulated model knows, from a triple file."""
+    """Sentences the simulated model knows, from a triple file.  Each line
+    names a fact of ``kg`` and is rendered from its names as they stand."""
 
     def sentence(h: str, r: str, t: str) -> str:
-        fact = Triple(kg.entity_id(h), kg.relation_id(r), kg.entity_id(t))
-        return templates.render_fact(kg, fact, kg.entity_name)
+        kg.entity_id(h), kg.relation_id(r), kg.entity_id(t)  # raise when unknown
+        return templates.relation(r).render(h, t)
 
     with open_text(facts_path) as fh:
         return frozenset(read_fields(fh, 3, "triple", sentence))
@@ -371,7 +372,10 @@ def cmd_select(opts: Options) -> tuple[int, Counts]:
     kg = KnowledgeGraph.load(opts.input("store"))
     stats = read_rules(opts.input("library"))
     per_rule = {
-        st.rule.rule_id: list(mining.ground_rule(kg, st.rule)) for st in stats
+        st.rule.rule_id: selection.Groundings(
+            kg, st.rule, mining.ground_rule(kg, st.rule)
+        )
+        for st in stats
     }
     oracle = None
     if setting == SETTING_REGULAR:

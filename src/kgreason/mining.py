@@ -29,14 +29,16 @@ its cost follows the candidates kept, not the pairs tried.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
 from operator import and_
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import UnknownSymbolError, UsageError
-from .kg import KnowledgeGraph, Triple
-from .rules import DEFAULT_MAX_HOP, Rule, RuleInstance, RuleStats, sort_stats
+from .kg import KnowledgeGraph
+from .rules import DEFAULT_MAX_HOP, Rule, RuleStats, sort_stats
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_MIN_SUPPORT = 1000
 DEFAULT_MIN_CONFIDENCE = "0.6"
@@ -48,6 +50,10 @@ _LANES = 64
 
 def exact_fraction(value) -> Fraction:
     """Interpret a threshold as an exact decimal quantity."""
+    # Imported here, so that a stage that reads no threshold, such as
+    # ingest, loads neither fractions nor the decimal module it imports.
+    from fractions import Fraction
+
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -171,23 +177,15 @@ def iter_body_groundings(kg: KnowledgeGraph, rule: Rule) -> Iterator[tuple[int, 
         yield from walk_chain(kg.tails, rels, first_edge)
 
 
-def ground_rule(kg: KnowledgeGraph, rule: Rule) -> Iterator[RuleInstance]:
-    """Stream the rule's instances: the body groundings whose head fact holds."""
+def ground_rule(kg: KnowledgeGraph, rule: Rule) -> Iterator[tuple[int, ...]]:
+    """Stream the rule's groundings, the body groundings whose head fact
+    holds, as entity id tuples in ascending order."""
     if not kg.has_relation(rule.head_relation):
         return
     head_rid = kg.relation_id(rule.head_relation)
-    rel_ids = [
-        kg.relation_id(name) if kg.has_relation(name) else None
-        for name in rule.body_relations
-    ]
     for entities in iter_body_groundings(kg, rule):
         if kg.holds(entities[0], head_rid, entities[-1]):
-            yield RuleInstance(
-                rule=rule,
-                entities=entities,
-                body_facts=tuple(map(Triple, entities, rel_ids, entities[1:])),
-                head_fact=Triple(entities[0], head_rid, entities[-1]),
-            )
+            yield entities
 
 
 class ChainCounts:

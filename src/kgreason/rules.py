@@ -20,14 +20,16 @@ from __future__ import annotations
 
 import re
 from functools import cached_property, lru_cache
-from fractions import Fraction
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .artifacts import read_records, write_lines
 from .errors import DataError, UsageError
 from .kg import Triple, check_relation_name
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 VAR_X = "X"
 VAR_Y = "Y"
@@ -113,12 +115,16 @@ class RuleStats(
     satisfy the body chain.  ``support`` is the part of those whose head
     fact also holds, so it is also the number of the rule's instances.
     ``confidence`` is cached in the instance dict, so the class has no
-    ``__slots__``, like ``Rule``.
+    ``__slots__``, like ``Rule``.  ``fractions`` is imported where a
+    confidence is made, so that a stage that makes none, such as ingest,
+    loads neither it nor the decimal module it imports.
     """
 
     @cached_property
     def confidence(self) -> Optional[Fraction]:
         """Exact confidence, or None when the rule is unscorable (no bodies)."""
+        from fractions import Fraction
+
         if self.body_count == 0:
             return None
         return Fraction(self.support, self.body_count)
@@ -158,6 +164,8 @@ def sort_stats(stats: Iterable[RuleStats]) -> list[RuleStats]:
     confidences that share that floor.  So the sort itself compares ints
     and strings.
     """
+    from fractions import Fraction
+
     stats = list(stats)
     confs: dict[tuple[int, int], Fraction] = {}
     for st in stats:

@@ -16,10 +16,11 @@ in the map file; they are applied at render time.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from pathlib import Path
 from string import ascii_lowercase, ascii_uppercase
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .artifacts import open_text, read_fields, read_records, write_lines, write_records
 from .errors import DataError, UsageError
@@ -64,14 +65,55 @@ class SelectionPool(NamedTuple):
         return {fact for inst in self.instances() for fact in inst.body_facts}
 
 
+def rule_instance(
+    kg: KnowledgeGraph, rule: Rule, entities: tuple[int, ...]
+) -> RuleInstance:
+    """The instance of ``rule`` that binds ``entities`` on ``kg``: the body
+    facts along the chain and the head fact from its first entity to its
+    last."""
+    rel_ids = map(kg.relation_id, rule.body_relations)
+    return RuleInstance(
+        rule=rule,
+        entities=entities,
+        body_facts=tuple(map(Triple, entities, rel_ids, entities[1:])),
+        head_fact=Triple(entities[0], kg.relation_id(rule.head_relation), entities[-1]),
+    )
+
+
+class Groundings(Sequence):
+    """A rule's groundings on ``kg`` as the sequence of its instances.
+
+    The entity id tuples are kept and an instance is built only when it is
+    read, so balancing a rule builds only the instances it keeps.
+    """
+
+    def __init__(
+        self, kg: KnowledgeGraph, rule: Rule, groundings: Iterable[tuple[int, ...]]
+    ):
+        self._kg = kg
+        self._rule = rule
+        self._entities = list(groundings)
+
+    def __len__(self) -> int:
+        return len(self._entities)
+
+    def __getitem__(self, index: int) -> RuleInstance:
+        return rule_instance(self._kg, self._rule, self._entities[index])
+
+
 def _sample_sorted(
     instances: Sequence[RuleInstance], n: int, seed: int
 ) -> list[RuleInstance]:
-    """Uniform sample without replacement, returned in canonical order."""
+    """Uniform sample without replacement, returned in canonical order.
+
+    ``sample`` picks by index and draws the same indices from ``range(N)``
+    as from any sequence of length N, so only the picks are read.
+    """
     if len(instances) == n:
         picked = list(instances)
     else:
-        picked = random.Random(seed).sample(list(instances), n)
+        indices = random.Random(seed).sample(range(len(instances)), n)
+        picked = [instances[i] for i in indices]
     picked.sort(key=lambda inst: inst.entities)
     return picked
 
@@ -361,21 +403,13 @@ def read_pool(
             names[0], rule.head_relation, names[-1]
         ]:
             raise ValueError("body or head does not follow from rule and entities")
-        entities = tuple(kg.entity_id(e) for e in names)
-        rel_ids = [kg.relation_id(r) for r in rule.body_relations]
+        inst = rule_instance(kg, rule, tuple(kg.entity_id(e) for e in names))
         line_setting = record["setting"]
         if setting is None:
             setting = line_setting
         elif setting != line_setting:
             raise DataError("mixed settings in one pool file")
-        return RuleInstance(
-            rule=rule,
-            entities=entities,
-            body_facts=tuple(map(Triple, entities, rel_ids, entities[1:])),
-            head_fact=Triple(
-                entities[0], kg.relation_id(rule.head_relation), entities[-1]
-            ),
-        )
+        return inst
 
     per_rule: dict[str, list[RuleInstance]] = {}
     for inst in read_records(path, "pool record", parse):

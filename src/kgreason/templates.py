@@ -50,7 +50,14 @@ class RelationTemplate(
     def render(self, subject_name: str, object_name: str) -> str:
         if not subject_name or not object_name:
             raise TemplateError("cannot render a fact with an empty entity name")
-        return self.pattern.replace(ENT1, subject_name).replace(ENT2, object_name)
+        # Split at both slots first, so that a name holding a slot marker is
+        # filled in as it stands.
+        before, _, after = self.pattern.partition(ENT1)
+        if ENT2 in after:
+            middle, _, end = after.partition(ENT2)
+            return before + subject_name + middle + object_name + end
+        start, _, middle = before.partition(ENT2)
+        return start + object_name + middle + subject_name + after
 
     def possibility_clause(self, subject_name: str, object_name: str) -> str:
         """Hedged variant of the sentence, for conclusions.

@@ -41,6 +41,15 @@ def kg_from(triples) -> KnowledgeGraph:
     return KnowledgeGraph.from_lines(lines)
 
 
+def ground_instances(kg: KnowledgeGraph, rule) -> list:
+    """The rule's instances on ``kg``, one per grounding of ``ground_rule``,
+    in its order."""
+    from kgreason.mining import ground_rule
+    from kgreason.selection import rule_instance
+
+    return [rule_instance(kg, rule, entities) for entities in ground_rule(kg, rule)]
+
+
 def random_triples(
     rng: random.Random, n_entities: int, n_relations: int, n_triples: int
 ) -> list[tuple[str, str, str]]:

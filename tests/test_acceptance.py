@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from bruteforce import brute_chain_groundings, brute_rule_score, brute_two_hop
-from conftest import PIPELINE_ARTIFACTS, kg_from, random_triples
+from conftest import PIPELINE_ARTIFACTS, ground_instances, kg_from, random_triples
 from kgreason.evaluation import MatchScore
 from kgreason.explore import (
     KgFactOracle,
@@ -41,7 +41,7 @@ from kgreason.mining import (
     score_rule,
 )
 from kgreason.rules import Rule, RuleStats, write_rules
-from kgreason.selection import SETTING_ANONYMIZED, select_pipeline
+from kgreason.selection import SETTING_ANONYMIZED, Groundings, select_pipeline
 from kgreason.synthetic import planted_triples
 from kgreason.synthetic import random_triples as uniform_triples
 from kgreason.templates import SIDE_OBJECT, SIDE_SUBJECT
@@ -71,8 +71,8 @@ def stats_key(stats: RuleStats) -> tuple[str, ...]:
 
 def instance_names(kg: KnowledgeGraph, rule: Rule) -> set[tuple[str, ...]]:
     return {
-        tuple(kg.entity_name(eid) for eid in inst.entities)
-        for inst in ground_rule(kg, rule)
+        tuple(kg.entity_name(eid) for eid in entities)
+        for entities in ground_rule(kg, rule)
     }
 
 
@@ -244,7 +244,10 @@ def test_criterion_4_selection_balanced_and_leak_free(capsys):
         triples = random_triples(rng, 30, 6, 150)
         kg = kg_from(triples)
         stats = filter_stats(mine_rule_stats(kg), min_support=1, min_confidence="0.2")
-        per_rule = {st.rule.rule_id: list(ground_rule(kg, st.rule)) for st in stats}
+        per_rule = {
+            st.rule.rule_id: Groundings(kg, st.rule, ground_rule(kg, st.rule))
+            for st in stats
+        }
         pool, mapping = select_pipeline(
             kg, per_rule, 3, seed=trial, setting=SETTING_ANONYMIZED
         )
@@ -305,7 +308,7 @@ def test_criterion_5_explore_soundness(capsys):
     queries: list[tuple[str, int, str]] = []
     flipped: list[tuple[str, int, str]] = []
     for st in library:
-        for inst in ground_rule(kg, st.rule):
+        for inst in ground_instances(kg, st.rule):
             side = select_query_side(kg, inst)
             if side == QUERY_SKIP:
                 continue

@@ -1124,6 +1124,17 @@ class TestStageImports:
         code = "import kgreason.cli\nimport kgreason.selection"
         assert self.loaded_after(code) == "[]"
 
+    def test_ingest_leaves_fractions_and_decimal_out(self, tmp_path):
+        # Only a stage that reads or makes a confidence needs exact ratios.
+        (tmp_path / "t.tsv").write_text("a\tr\tb\n", encoding="utf-8")
+        code = (
+            f"import os\nimport kgreason.cli\nos.chdir({str(tmp_path)!r})\n"
+            "assert kgreason.cli.main(['ingest', '--triples', 't.tsv', "
+            "'--store', 's.json']) == 0"
+        )
+        out = self.loaded_after(code, ("decimal", "fractions"))
+        assert out.splitlines()[-1] == "[]"
+
     def test_probe_sees_a_loaded_stage_module(self):
         code = "import kgreason.cli\nimport kgreason.explore"
         assert self.loaded_after(code) == str(

@@ -34,12 +34,11 @@ from kgreason.explore import (
 )
 from kgreason.generation import chain_answer, sample_id_for
 from kgreason.kg import Triple
-from kgreason.mining import ground_rule
 from kgreason.rules import Rule, RuleStats
 from kgreason.selection import SelectionPool, probe_from_client
 from kgreason.templates import SIDE_OBJECT, SIDE_SUBJECT, TemplateLibrary
 
-from conftest import kg_from
+from conftest import ground_instances, kg_from
 
 # anykid --part_of--> cckqlvy --from_country--> vevedgta closes the
 # citizen_of fact; the works_for edge dead-ends (acme has no based_in),
@@ -460,7 +459,7 @@ class TestRenderTrace:
         )
         text = render_trace(trace, TemplateLibrary.builtin(), kg.entity_name)
         assert text == PLAIN_ANSWER
-        inst = next(ground_rule(kg, RULE_GOOD))
+        (inst,) = ground_instances(kg, RULE_GOOD)
         assert text == chain_answer(
             inst.rule, inst.entities, inst.object, TemplateLibrary.builtin(),
             kg.entity_name,
@@ -614,7 +613,7 @@ class TestExploreSamples:
     def pool_for(self, kg, setting="regular", name_map=None):
         return SelectionPool(
             setting=setting,
-            per_rule={RULE_GOOD.rule_id: list(ground_rule(kg, RULE_GOOD))},
+            per_rule={RULE_GOOD.rule_id: ground_instances(kg, RULE_GOOD)},
             seed=0,
             name_map=name_map or {},
         )

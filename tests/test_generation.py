@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from conftest import kg_from
+from conftest import ground_instances, kg_from
 from rule_oracles import all_triples
 from kgreason.errors import UsageError
 from kgreason.generation import (
@@ -25,7 +25,6 @@ from kgreason.generation import (
     validated_polish,
     write_samples,
 )
-from kgreason.mining import ground_rule
 from kgreason.rules import Rule
 from kgreason.selection import SETTING_ANONYMIZED, balance_instances
 from kgreason.templates import SIDE_OBJECT, SIDE_SUBJECT, TemplateLibrary
@@ -40,7 +39,7 @@ CITIZEN_RULE = Rule("citizen_of", ("part_of", "from_country"))
 
 def citizen_instance():
     kg = kg_from(CITIZEN_TRIPLES)
-    (inst,) = ground_rule(kg, CITIZEN_RULE)
+    (inst,) = ground_instances(kg, CITIZEN_RULE)
     return kg, inst
 
 
@@ -56,7 +55,7 @@ class TestQuerySide:
             CITIZEN_TRIPLES + [("anykid", "citizen_of", "elsewhere")]
         )
         (inst, _) = sorted(
-            ground_rule(kg, CITIZEN_RULE), key=lambda i: i.entities
+            ground_instances(kg, CITIZEN_RULE), key=lambda i: i.entities
         ) + [None]
         side = select_query_side(kg, inst)
         assert side == SIDE_SUBJECT
@@ -71,7 +70,7 @@ class TestQuerySide:
         )
         matches = [
             i
-            for i in ground_rule(kg, CITIZEN_RULE)
+            for i in ground_instances(kg, CITIZEN_RULE)
             if kg.entity_name(i.entities[0]) == "anykid"
         ]
         inst = matches[0]
@@ -118,7 +117,7 @@ class TestRendering:
             ("d", "r4", "e"), ("a", "h", "e"),
         ]
         kg = kg_from(triples)
-        (inst,) = ground_rule(kg, Rule("h", ("r1", "r2", "r3", "r4")))
+        (inst,) = ground_instances(kg, Rule("h", ("r1", "r2", "r3", "r4")))
         answer = object_answer(kg, inst, TemplateLibrary.builtin())
         chain, _, tail = answer.partition(" Therefore, ")
         assert chain.count(".") == 4
@@ -153,7 +152,7 @@ class TestSamples:
     def pool(self):
         kg = kg_from(CITIZEN_TRIPLES)
         per_rule = {
-            CITIZEN_RULE.rule_id: list(ground_rule(kg, CITIZEN_RULE))
+            CITIZEN_RULE.rule_id: ground_instances(kg, CITIZEN_RULE)
         }
         return kg, balance_instances(per_rule, 1, 0, SETTING_ANONYMIZED)
 
@@ -183,7 +182,7 @@ class TestSamples:
         )
         insts = [
             i
-            for i in ground_rule(kg, CITIZEN_RULE)
+            for i in ground_instances(kg, CITIZEN_RULE)
             if kg.entity_name(i.entities[0]) == "anykid"
         ]
         pool = balance_instances(
@@ -259,7 +258,7 @@ class TestCorpus:
 
     def test_pool_corpus_covers_body_facts_only(self):
         kg = kg_from(CITIZEN_TRIPLES)
-        per_rule = {CITIZEN_RULE.rule_id: list(ground_rule(kg, CITIZEN_RULE))}
+        per_rule = {CITIZEN_RULE.rule_id: ground_instances(kg, CITIZEN_RULE)}
         pool = balance_instances(per_rule, 1, 0, SETTING_ANONYMIZED)
         docs = corpus_from_pool(kg, pool, TemplateLibrary.builtin(), 0)
         rendered = " ".join(d.text for d in docs)

@@ -41,7 +41,12 @@ def run_select_and_explore(setting: str, oracle_kind: str) -> None:
     facts = synthetic.planted_triples(seed=3, target_triples=1500)
     kg = KnowledgeGraph.from_lines("\t".join(fact) for fact in facts)
     stats = mining.filter_stats(mining.mine_rule_stats(kg), 2, "0.6")
-    per_rule = {st.rule.rule_id: list(mining.ground_rule(kg, st.rule)) for st in stats}
+    per_rule = {
+        st.rule.rule_id: selection.Groundings(
+            kg, st.rule, mining.ground_rule(kg, st.rule)
+        )
+        for st in stats
+    }
     templates = TemplateLibrary.builtin()
     # The mock model knows every body fact.
     known = {

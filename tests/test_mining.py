@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import brute_chain_groundings, brute_rule_score, brute_two_hop
-from conftest import kg_from, random_triples
+from conftest import ground_instances, kg_from, random_triples
 from kgreason import cli
 from kgreason.errors import UsageError
 from kgreason.mining import (
@@ -38,8 +38,8 @@ def mined_instances(kg):
     found = {}
     for stats in mine_rule_stats(kg):
         instances = [
-            tuple(kg.entity_name(e) for e in inst.entities)
-            for inst in ground_rule(kg, stats.rule)
+            tuple(kg.entity_name(e) for e in entities)
+            for entities in ground_rule(kg, stats.rule)
         ]
         assert len(instances) == stats.support
         found[stats.rule.rule_id] = instances
@@ -91,7 +91,7 @@ class TestScoring:
         assert len(list(ground_rule(score_kg, rule))) == 1
 
     def test_grounded_instances_verify_facts(self, score_kg):
-        for inst in ground_rule(score_kg, Rule("r1", ("r2", "r3"))):
+        for inst in ground_instances(score_kg, Rule("r1", ("r2", "r3"))):
             for fact in (*inst.body_facts, inst.head_fact):
                 assert score_kg.holds(fact.head, fact.relation, fact.tail)
 

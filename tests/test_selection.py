@@ -4,20 +4,27 @@ from __future__ import annotations
 
 import random
 import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kg_from, random_triples
+from bruteforce import brute_chain_groundings
+from conftest import ground_instances, kg_from, random_triples
+from kgreason import cli, selection
 from kgreason.client import VERDICT_KNOWN, VERDICT_UNDECIDED, VERDICT_UNKNOWN
 from kgreason.errors import DataError, UsageError
-from kgreason.kg import Triple
+from kgreason.kg import KnowledgeGraph, Triple
 from kgreason.mining import ground_rule, mine_rule_stats
-from kgreason.rules import Rule, RuleInstance
+from kgreason.rules import Rule, RuleInstance, RuleStats, write_rules
+from kgreason.seeding import derive_seed
 from kgreason.selection import (
     SETTING_ANONYMIZED,
     SETTING_REGULAR,
+    Groundings,
     anonymize,
     balance_instances,
     extend_name_map,
@@ -230,7 +237,7 @@ class TestAnonymize:
         ]
         kg = kg_from(triples)
         rule = Rule("ra", ("p", "q"))
-        per_rule = {rule.rule_id: list(ground_rule(kg, rule))}
+        per_rule = {rule.rule_id: ground_instances(kg, rule)}
         pool = balance_instances(per_rule, 1, 0, SETTING_ANONYMIZED)
         return kg, pool
 
@@ -297,7 +304,7 @@ class TestExtendNameMap:
         ]
         kg = kg_from(triples)
         rule = Rule("ra", ("p", "q"))
-        per_rule = {rule.rule_id: list(ground_rule(kg, rule))}
+        per_rule = {rule.rule_id: ground_instances(kg, rule)}
         pool = balance_instances(per_rule, 1, 0, SETTING_ANONYMIZED)
         return kg, anonymize(pool, kg)
 
@@ -334,7 +341,9 @@ class TestPipelineAndFiles:
         triples = random_triples(rng, 14, 4, 90)
         kg = kg_from(triples)
         stats = mine_rule_stats(kg)
-        per_rule = {s.rule.rule_id: list(ground_rule(kg, s.rule)) for s in stats}
+        per_rule = {
+            s.rule.rule_id: Groundings(kg, s.rule, ground_rule(kg, s.rule)) for s in stats
+        }
         pool, mapping = select_pipeline(kg, per_rule, n, seed, setting, oracle)
         return kg, pool, mapping
 
@@ -371,3 +380,76 @@ class TestPipelineAndFiles:
         assert len(set(rule_counts(pool).values())) <= 1
         heads = {i.head_fact for i in pool.instances()}
         assert not heads & pool.body_fact_union()
+
+
+class TestDrawOracle:
+    """The select stage's balanced pool is, per rule, the seeded sample of
+    the rule's head-satisfying groundings as the brute-force oracle lists
+    them, in ascending entity id order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**30),
+        st.integers(2, 7),
+        st.integers(1, 3),
+        st.integers(1, 40),
+        st.integers(1, 4),
+    )
+    def test_balanced_pool_is_the_seeded_sample(
+        self, seed, n_entities, n_relations, n_triples, n
+    ):
+        rng = random.Random(seed)
+        triples = random_triples(rng, n_entities, n_relations, n_triples)
+        # Rules over the graph's relations and one it lacks, hop 1 to 3.
+        relations = [f"r{i}" for i in range(n_relations)] + ["absent"]
+        rules = {
+            Rule(rng.choice(relations), rng.choices(relations, k=rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 6))
+        }
+        facts = set(triples)
+        pools = []
+        balance = selection.balance_instances
+
+        def spy(*args, **kwargs):
+            pools.append(balance(*args, **kwargs))
+            return pools[-1]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            run = Path(tmp)
+            kg_from(triples).save(run / "store.json")
+            write_rules(run / "library.tsv", [RuleStats(r, 0, 0) for r in rules])
+            kg = KnowledgeGraph.load(run / "store.json")
+            with mock.patch.object(selection, "balance_instances", spy):
+                code = cli.main([
+                    "select", "--store", str(run / "store.json"),
+                    "--library", str(run / "library.tsv"),
+                    "--pool", str(run / "pool.tsv"), "--map", str(run / "map.tsv"),
+                    "--manifest", str(run / "manifest.json"),
+                    "--per-rule", str(n), "--seed", str(seed),
+                ])
+        assert code in (0, 2)  # 2: the filters after balancing emptied the pool
+        (pool,) = pools
+        stage_seed = derive_seed(seed, "select")
+        expected = {}
+        for rule in rules:
+            oracle = sorted(
+                tuple(map(kg.entity_id, names))
+                for names in brute_chain_groundings(triples, rule.body_relations)
+                if (names[0], rule.head_relation, names[-1]) in facts
+            )
+            if len(oracle) >= n:
+                draw = random.Random(derive_seed(stage_seed, "balance", rule.rule_id))
+                expected[rule.rule_id] = sorted(draw.sample(oracle, n))
+        assert {
+            rid: [inst.entities for inst in insts] for rid, insts in pool.per_rule.items()
+        } == expected
+        for inst in pool.instances():
+            names = [kg.entity_name(e) for e in inst.entities]
+            rule = inst.rule
+            assert [
+                (kg.entity_name(h), kg.relation_name(r), kg.entity_name(t))
+                for h, r, t in (*inst.body_facts, inst.head_fact)
+            ] == [
+                *zip(names, rule.body_relations, names[1:]),
+                (names[0], rule.head_relation, names[-1]),
+            ]

@@ -23,6 +23,28 @@ class TestRelationTemplate:
         t = RelationTemplate("citizen_of", "<ENT1> is a citizen of <ENT2>.")
         assert t.render("Anykid", "Vevedgta") == "Anykid is a citizen of Vevedgta."
 
+    @pytest.mark.parametrize(
+        "pattern, subject, obj, sentence",
+        [
+            ("<ENT1> is born in <ENT2>.", "Ann<ENT2>Lee", "Paris",
+             "Ann<ENT2>Lee is born in Paris."),
+            ("<ENT1> is born in <ENT2>.", "<ENT1>", "<ENT2>",
+             "<ENT1> is born in <ENT2>."),
+            ("<ENT2> is the birthplace of <ENT1>.", "Ann", "Pa<ENT1>ris",
+             "Pa<ENT1>ris is the birthplace of Ann."),
+            ("<ENT2> is the birthplace of <ENT1>.", "<ENT2>", "<ENT1>",
+             "<ENT1> is the birthplace of <ENT2>."),
+        ],
+    )
+    def test_names_holding_slot_markers_render_literally(
+        self, pattern, subject, obj, sentence
+    ):
+        t = RelationTemplate("born_in", pattern)
+        assert t.render(subject, obj) == sentence
+        assert t.possibility_clause(subject, obj) == (
+            sentence.rstrip(".").replace(" is ", " may be ", 1)
+        )
+
     def test_slots_required_exactly_once(self):
         with pytest.raises(TemplateError):
             RelationTemplate("r", "<ENT1> only")

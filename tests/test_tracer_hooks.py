@@ -1,7 +1,8 @@
 """The benchmark's tracer still fits the results it reads.
 
 ``perfbench/tracer.py`` wraps public functions by name and counts from
-their results: ``select_pipeline(...)[0].size()``,
+their results: ``select_pipeline(...)[0].size()``, the items of
+``ground_rule``,
 ``explore_samples(...)[1]["error_traces"]`` and ``explore(...).trials``.
 It also wraps ``Evaluator.__init__``, ``Evaluator.parse`` and
 ``Evaluator.evaluate`` by name.  A reshaped result or a renamed method would
@@ -81,6 +82,9 @@ EXPLORE = (
 
 def test_tracer_counts_select_and_explore(regular_run):
     select = trace(regular_run, *SELECT)["counters"]
+    # The tracer counts groundings by wrapping mining.ground_rule, so select
+    # must draw them through that name.
+    assert select["mining.groundings"] == 1
     assert select["selection.pool_instances"] == 1
 
     explore = trace(regular_run, *EXPLORE)["counters"]
