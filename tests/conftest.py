@@ -14,6 +14,8 @@ import pytest
 
 import kgreason
 from kgreason.kg import KnowledgeGraph
+from kgreason.mining import ground_rule
+from kgreason.selection import rule_instance
 
 # Three facts over three entities; every expected value in the kg tests
 # was first counted by hand on this drawing:  a --r2--> b --r3--> c  and
@@ -44,9 +46,6 @@ def kg_from(triples) -> KnowledgeGraph:
 def ground_instances(kg: KnowledgeGraph, rule) -> list:
     """The rule's instances on ``kg``, one per grounding of ``ground_rule``,
     in its order."""
-    from kgreason.mining import ground_rule
-    from kgreason.selection import rule_instance
-
     return [rule_instance(kg, rule, entities) for entities in ground_rule(kg, rule)]
 
 
